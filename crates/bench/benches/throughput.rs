@@ -19,7 +19,7 @@
 //!   trace store and one cursor walk per workload row feeds every
 //!   configuration column;
 //! * **regenerate** — the pre-sharing baseline: every cell re-synthesizes
-//!   its workload from scratch (`materialize_cap(0)`).
+//!   its workload from scratch (the per-cell generator walk).
 //!
 //! Results are printed as a table and written to `BENCH_throughput.json`
 //! at the repository root (override with `ZBP_BENCH_OUT`) so the perf

@@ -1,32 +1,21 @@
-//! Shared plumbing for the experiment bench targets.
+//! Shared plumbing for the `cargo bench` targets.
 //!
-//! Every figure/table `cargo bench` target in this crate is a thin
-//! wrapper over [`run_registered`]: it resolves its experiment by id in
-//! the [`zbp_sim::registry`], runs it through the cell cache under
-//! `results/cache/`, prints the registry's rendered table, and saves
-//! the manifest-stamped JSON artifact under `results/` (or
-//! `$ZBP_RESULTS_DIR`) so `EXPERIMENTS.md` can reference exact numbers.
+//! The crate's benches are measurements, not figure reproductions:
+//! `structures` and `hotpath` time the building blocks and replay inner
+//! loops, and `throughput` times the figure-2 grid end to end. Paper
+//! tables and figures regenerate through the experiment registry
+//! (`zbp-cli experiment run <id>`).
 //!
-//! Environment knobs (parsed strictly — a malformed value panics
-//! instead of silently running the wrong experiment):
-//!
-//! * `ZBP_TRACE_LEN` — cap dynamic instructions per workload (quick runs);
-//! * `ZBP_SEED` — workload synthesis seed (decimal or 0x-hex);
-//! * `ZBP_WORKERS` — cap the parallel fan-out;
-//! * `ZBP_LANES` — cap the config columns batched per decode-once lane
-//!   group (`1` forces sequential per-column replay);
-//! * `ZBP_CACHE_DIR` — cell-cache directory (default `results/cache`);
-//! * `ZBP_RESULTS_DIR` — where JSON artifacts are written.
+//! Environment knobs are the [`ExperimentOptions::from_env`] ones,
+//! parsed strictly — a malformed value panics instead of silently
+//! measuring the wrong grid.
 
 #![warn(missing_docs)]
 
-use std::path::PathBuf;
 use std::time::Instant;
-use zbp_sim::cache::CellCache;
 use zbp_sim::experiments::ExperimentOptions;
-use zbp_sim::registry;
 
-/// Prints the standard experiment banner and returns parsed options.
+/// Prints the standard benchmark banner and returns parsed options.
 ///
 /// Panics on malformed environment values — see
 /// [`ExperimentOptions::from_env_or_panic`].
@@ -47,102 +36,4 @@ pub fn start(experiment: &str, paper_ref: &str) -> (ExperimentOptions, Instant) 
 /// Prints the elapsed-time footer.
 pub fn finish(started: Instant) {
     println!("\nelapsed: {:.1}s", started.elapsed().as_secs_f64());
-}
-
-/// Runs a registered experiment end-to-end: banner, cached grid run,
-/// rendered table + paper notes, manifest-stamped artifact under
-/// [`results_dir`]. This is the whole body of every figure/table bench
-/// target — per-figure logic lives in the registry, not here.
-///
-/// Panics on an unknown id (bench targets are compiled against the
-/// registry, so this is a programming error, not user input).
-pub fn run_registered(id: &str) {
-    let spec =
-        registry::find(id).unwrap_or_else(|| panic!("experiment {id:?} is not in the registry"));
-    let (opts, t0) = start(spec.title, spec.paper_ref);
-    let cache_dir = opts.cache_dir.clone().unwrap_or_else(|| results_dir().join("cache"));
-    let run = spec.run(&opts, &CellCache::at(cache_dir));
-    println!("{}", run.pretty);
-    for note in spec.notes {
-        println!("{note}");
-    }
-    println!("cells: {} ({} from cache)", run.manifest.cells, run.manifest.cache_hits);
-    save_text(spec.artifact, "json", &run.artifact().render_pretty());
-    if let Some(csv) = &run.csv {
-        save_text(spec.artifact, "csv", csv);
-    }
-    finish(t0);
-}
-
-/// Directory where JSON artifacts are stored (workspace-root `results/`
-/// unless `ZBP_RESULTS_DIR` overrides it).
-pub fn results_dir() -> PathBuf {
-    std::env::var("ZBP_RESULTS_DIR").map_or_else(
-        |_| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")),
-        PathBuf::from,
-    )
-}
-
-/// Saves rendered artifact text as `results/<name>.<ext>`; prints the
-/// path. Failures are reported but non-fatal (benches still print their
-/// tables).
-pub fn save_text(name: &str, ext: &str, content: &str) {
-    let dir = results_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.{ext}"));
-    match std::fs::write(&path, content) {
-        Ok(()) => println!("saved: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Formats a signed percentage with two decimals.
-pub fn pct(x: f64) -> String {
-    format!("{x:+.2}%")
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pct_formats() {
-        assert_eq!(pct(2.71625), "+2.72%");
-        assert_eq!(pct(-0.5), "-0.50%");
-    }
-
-    #[test]
-    fn default_results_dir_is_workspace_root() {
-        if std::env::var("ZBP_RESULTS_DIR").is_err() {
-            assert!(results_dir().ends_with("results"));
-        }
-    }
-
-    #[test]
-    fn every_bench_experiment_is_registered() {
-        for id in [
-            "table4",
-            "fig2",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "ablation_exclusivity",
-            "ablation_steering",
-            "ablation_filter",
-            "ablation_wrongpath",
-            "future_congruence",
-            "future_miss_detection",
-            "future_multiblock",
-            "future_edram",
-            "comparison_phantom",
-            "simpoint",
-        ] {
-            assert!(registry::find(id).is_some(), "{id} missing from registry");
-        }
-    }
 }

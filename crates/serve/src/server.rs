@@ -85,7 +85,7 @@ impl RunRequest {
 /// Everything the daemon shares across connections.
 pub struct ServeState {
     /// Boot-time experiment options: the daemon's len/seed defaults,
-    /// worker cap, compact/lane settings and warm trace store. `/run`
+    /// worker cap, lane width and warm trace store. `/run`
     /// may override `len`/`seed` per request.
     pub base: ExperimentOptions,
     /// The shared on-disk cell cache every request reads and warms.

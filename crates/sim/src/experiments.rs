@@ -3,20 +3,17 @@
 //! Each paper table/figure is *declared* in [`crate::registry`] as an
 //! [`crate::registry::ExperimentSpec`] (workloads × configurations ×
 //! post-processing); this module owns the typed row structures those
-//! experiments produce and the grid→rows post-processing functions the
-//! registry applies. The classic one-call-per-figure functions
-//! ([`figure2`], [`table4`], …) remain as thin typed wrappers — they
-//! build the same grid through [`SimSession`] and apply the same
-//! post-processing, so tests and library users keep a direct API while
-//! the CLI and bench targets go through the registry (which adds cell
-//! caching, manifests and artifact output on top).
+//! experiments produce, the configuration variants their grids sweep
+//! and the grid→rows post-processing functions the registry applies.
+//! It also owns the run options every front end shares: the
+//! environment knobs ([`ExperimentOptions::from_env`]) and the
+//! command-line flags layered over them ([`RunFlags`]).
 
 use crate::config::SimConfig;
 use crate::parallel::par_map;
 use crate::report::ImprovementRow;
-use crate::session::{SessionGrid, SimSession};
-use crate::sweep::{sweep, SweepPoint};
-use std::path::PathBuf;
+use crate::session::SessionGrid;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use zbp_predictor::exclusive::ExclusivityPolicy;
 use zbp_predictor::tracker::FilterMode;
@@ -38,15 +35,12 @@ pub struct ExperimentOptions {
     /// machine parallelism).
     pub workers: Option<usize>,
     /// Cell-cache directory override (`None` = the front end's default,
-    /// `results/cache/` for the CLI and bench targets).
+    /// `results/cache/` for the CLI and the daemon).
     pub cache_dir: Option<PathBuf>,
-    /// Replay captures through the compact branch-point encoding (the
-    /// default). `false` selects the record-based reference path.
-    pub compact: bool,
-    /// Cap on configuration columns per decode-once lane group on the
-    /// compact path (`None` = every column of a grid row replays in one
-    /// group; `1` = sequential per-column replay). Any width is
-    /// bit-identical; this is purely a batching knob.
+    /// Cap on configuration columns per decode-once lane group (`None`
+    /// = every column of a grid row replays in one group; `1` =
+    /// sequential per-column replay). Any width is bit-identical; this
+    /// is purely a batching knob.
     pub lanes: Option<usize>,
     /// Persistent compact-trace store. Disabled by default; the CLI
     /// roots it at `results/traces/`. Shared via `Arc` so every session
@@ -67,7 +61,6 @@ impl Default for ExperimentOptions {
             seed: 0xEC12,
             workers: None,
             cache_dir: None,
-            compact: true,
             lanes: None,
             trace_store: Arc::new(TraceStore::disabled()),
             sources: Vec::new(),
@@ -83,7 +76,6 @@ impl PartialEq for ExperimentOptions {
             && self.seed == other.seed
             && self.workers == other.workers
             && self.cache_dir == other.cache_dir
-            && self.compact == other.compact
             && self.lanes == other.lanes
             && self.trace_store.dir() == other.trace_store.dir()
             && self.trace_store.reads() == other.trace_store.reads()
@@ -102,7 +94,7 @@ impl ExperimentOptions {
     }
 
     /// Reads `ZBP_TRACE_LEN`, `ZBP_SEED`, `ZBP_WORKERS`,
-    /// `ZBP_CACHE_DIR`, `ZBP_COMPACT`, `ZBP_LANES`, `ZBP_TRACE_STORE`,
+    /// `ZBP_CACHE_DIR`, `ZBP_LANES`, `ZBP_TRACE_STORE`,
     /// `ZBP_FRESH_TRACES` and `ZBP_TRACES` (a comma-separated list of
     /// external trace files to ingest as the workload set) from the
     /// environment.
@@ -111,64 +103,39 @@ impl ExperimentOptions {
     ///
     /// Unparsable values are an error, not a silent fallback — a typo'd
     /// `ZBP_TRACE_LEN=50k` must not quietly run the full-length
-    /// experiment. Seeds accept decimal or `0x`-prefixed hex.
+    /// experiment. Values go through the same validators as the
+    /// [`RunFlags`]: seeds accept decimal or `0x`-prefixed hex, and
+    /// worker and lane counts must be at least 1.
     pub fn from_env() -> Result<Self, String> {
-        let mut o = Self::default();
-        if let Some(v) = env_nonempty("ZBP_TRACE_LEN") {
-            o.len = Some(
-                v.parse::<u64>()
-                    .map_err(|e| format!("ZBP_TRACE_LEN={v:?} is not a valid length: {e}"))?,
-            );
-        }
-        if let Some(v) = env_nonempty("ZBP_SEED") {
-            o.seed = parse_seed(&v).map_err(|e| format!("ZBP_SEED={v:?}: {e}"))?;
-        }
-        if let Some(v) = env_nonempty("ZBP_WORKERS") {
-            let n = v
-                .parse::<usize>()
-                .map_err(|e| format!("ZBP_WORKERS={v:?} is not a worker count: {e}"))?;
-            if n == 0 {
-                return Err(format!("ZBP_WORKERS={v:?}: must be at least 1"));
-            }
-            o.workers = Some(n);
-        }
-        if let Some(v) = env_nonempty("ZBP_CACHE_DIR") {
-            o.cache_dir = Some(PathBuf::from(v));
-        }
-        if let Some(v) = env_nonempty("ZBP_COMPACT") {
-            o.compact = match v.as_str() {
-                "1" | "true" => true,
-                "0" | "false" => false,
-                _ => return Err(format!("ZBP_COMPACT={v:?}: expected 0/1/true/false")),
-            };
-        }
-        if let Some(v) = env_nonempty("ZBP_LANES") {
-            let n = v
-                .parse::<usize>()
-                .map_err(|e| format!("ZBP_LANES={v:?} is not a lane count: {e}"))?;
-            if n == 0 {
-                return Err(format!("ZBP_LANES={v:?}: must be at least 1"));
-            }
-            o.lanes = Some(n);
-        }
         let fresh = match env_nonempty("ZBP_FRESH_TRACES").as_deref() {
             None | Some("0") | Some("false") => false,
             Some("1") | Some("true") => true,
             Some(v) => return Err(format!("ZBP_FRESH_TRACES={v:?}: expected 0/1/true/false")),
         };
-        if let Some(v) = env_nonempty("ZBP_TRACE_STORE") {
-            o.trace_store =
-                Arc::new(if fresh { TraceStore::write_only(&v) } else { TraceStore::at(&v) });
-        } else if fresh {
-            return Err("ZBP_FRESH_TRACES=1 requires ZBP_TRACE_STORE to be set".into());
-        }
-        if let Some(v) = env_nonempty("ZBP_TRACES") {
-            for path in v.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-                o.sources
-                    .push(WorkloadSource::ingest(path).map_err(|e| format!("ZBP_TRACES: {e}"))?);
+        let store = match env_nonempty("ZBP_TRACE_STORE") {
+            Some(v) => trace_store(v, fresh),
+            None if fresh => {
+                return Err("ZBP_FRESH_TRACES=1 requires ZBP_TRACE_STORE to be set".into())
             }
-        }
-        Ok(o)
+            None => TraceStore::disabled(),
+        };
+        Ok(Self {
+            len: env_parsed("ZBP_TRACE_LEN", parse_len)?,
+            seed: env_parsed("ZBP_SEED", parse_seed)?.unwrap_or(Self::default().seed),
+            workers: env_parsed("ZBP_WORKERS", parse_count)?,
+            cache_dir: env_nonempty("ZBP_CACHE_DIR").map(PathBuf::from),
+            lanes: env_parsed("ZBP_LANES", parse_count)?,
+            trace_store: Arc::new(store),
+            sources: env_nonempty("ZBP_TRACES")
+                .map_or(Ok(Vec::new()), |v| {
+                    v.split(',')
+                        .map(str::trim)
+                        .filter(|p| !p.is_empty())
+                        .map(WorkloadSource::ingest)
+                        .collect::<Result<_, _>>()
+                })
+                .map_err(|e| format!("ZBP_TRACES: {e}"))?,
+        })
     }
 
     /// [`Self::from_env`] for contexts without error plumbing (bench
@@ -190,8 +157,128 @@ impl ExperimentOptions {
     }
 }
 
+/// The command-line flags `zbp-cli` and `zbp-serve` share, layered over
+/// the environment by [`RunFlags::resolve`]: a flag always overrides
+/// the matching `ZBP_*` variable.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunFlags {
+    /// `--len <N>`: dynamic instruction cap per workload.
+    pub len: Option<u64>,
+    /// `--seed <N>`: workload synthesis seed, decimal or `0x`-hex.
+    pub seed: Option<u64>,
+    /// `--workers <N>`: parallel fan-out cap (at least 1).
+    pub workers: Option<usize>,
+    /// `--lanes <N>`: config columns per decode-once lane group (at
+    /// least 1).
+    pub lanes: Option<usize>,
+    /// `--cache-dir <DIR>`: cell-cache directory.
+    pub cache_dir: Option<PathBuf>,
+    /// `--trace-store <DIR>`: compact-trace store directory.
+    pub trace_store: Option<PathBuf>,
+    /// `--fresh-traces`: regenerate every trace, refreshing the store.
+    pub fresh_traces: bool,
+}
+
+impl RunFlags {
+    /// Every flag [`Self::take`] accepts.
+    pub const NAMES: [&'static str; 7] = [
+        "--len",
+        "--seed",
+        "--workers",
+        "--lanes",
+        "--cache-dir",
+        "--trace-store",
+        "--fresh-traces",
+    ];
+
+    /// Parses `flag` if it is one of [`Self::NAMES`], pulling its value
+    /// (if it takes one) from `value`. Returns `Ok(false)` for any other
+    /// flag, leaving it to the caller.
+    ///
+    /// # Errors
+    ///
+    /// A missing value (whatever `value` reports) or one the shared
+    /// validators reject: `--workers 0` and `--lanes 0` are errors, as
+    /// `ZBP_WORKERS=0` and `ZBP_LANES=0` are.
+    pub fn take(
+        &mut self,
+        flag: &str,
+        value: impl FnOnce() -> Result<String, String>,
+    ) -> Result<bool, String> {
+        fn parsed<T>(
+            flag: &str,
+            value: impl FnOnce() -> Result<String, String>,
+            parse: fn(&str) -> Result<T, String>,
+        ) -> Result<Option<T>, String> {
+            let v = value()?;
+            parse(&v).map(Some).map_err(|e| format!("{flag} {v:?}: {e}"))
+        }
+        match flag {
+            "--len" => self.len = parsed(flag, value, parse_len)?,
+            "--seed" => self.seed = parsed(flag, value, parse_seed)?,
+            "--workers" => self.workers = parsed(flag, value, parse_count)?,
+            "--lanes" => self.lanes = parsed(flag, value, parse_count)?,
+            "--cache-dir" => self.cache_dir = Some(value()?.into()),
+            "--trace-store" => self.trace_store = Some(value()?.into()),
+            "--fresh-traces" => self.fresh_traces = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// [`ExperimentOptions::from_env`] with these flags on top, plus the
+    /// defaults of a run that persists its work: the cell cache at
+    /// `results_dir()/cache` and, when neither `--trace-store` nor
+    /// `ZBP_TRACE_STORE` names one, the trace store at
+    /// `results_dir()/traces`. `--fresh-traces` makes whichever store
+    /// results write-only.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`ExperimentOptions::from_env`] rejects.
+    pub fn resolve(&self) -> Result<ExperimentOptions, String> {
+        Ok(self.apply(ExperimentOptions::from_env()?))
+    }
+
+    fn apply(&self, mut opts: ExperimentOptions) -> ExperimentOptions {
+        opts.len = self.len.or(opts.len);
+        opts.seed = self.seed.unwrap_or(opts.seed);
+        opts.workers = self.workers.or(opts.workers);
+        opts.lanes = self.lanes.or(opts.lanes);
+        let cache_dir = self.cache_dir.clone().or(opts.cache_dir);
+        opts.cache_dir = Some(cache_dir.unwrap_or_else(|| results_dir().join("cache")));
+        if self.trace_store.is_some() || self.fresh_traces || !opts.trace_store.is_enabled() {
+            let dir = self
+                .trace_store
+                .clone()
+                .or_else(|| opts.trace_store.dir().map(Path::to_path_buf))
+                .unwrap_or_else(|| results_dir().join("traces"));
+            opts.trace_store = Arc::new(trace_store(dir, self.fresh_traces));
+        }
+        opts
+    }
+}
+
+/// Directory the front ends write artifacts (and, by default, the cell
+/// cache and trace store) under: `$ZBP_RESULTS_DIR`, else `results`.
+pub fn results_dir() -> PathBuf {
+    std::env::var("ZBP_RESULTS_DIR").map_or_else(|_| PathBuf::from("results"), PathBuf::from)
+}
+
+fn trace_store(dir: impl Into<PathBuf>, fresh: bool) -> TraceStore {
+    if fresh {
+        TraceStore::write_only(dir)
+    } else {
+        TraceStore::at(dir)
+    }
+}
+
 fn env_nonempty(name: &str) -> Option<String> {
     std::env::var(name).ok().map(|v| v.trim().to_string()).filter(|v| !v.is_empty())
+}
+
+fn env_parsed<T>(name: &str, parse: fn(&str) -> Result<T, String>) -> Result<Option<T>, String> {
+    env_nonempty(name).map(|v| parse(&v).map_err(|e| format!("{name}={v:?}: {e}"))).transpose()
 }
 
 /// Parses a seed as decimal or `0x`-prefixed hex.
@@ -201,6 +288,21 @@ pub fn parse_seed(text: &str) -> Result<u64, String> {
         None => text.parse::<u64>(),
     };
     parsed.map_err(|e| format!("not a valid seed: {e}"))
+}
+
+/// Parses a dynamic instruction count.
+fn parse_len(text: &str) -> Result<u64, String> {
+    text.parse().map_err(|e| format!("not a valid length: {e}"))
+}
+
+/// Parses a worker, lane or pool count: a positive integer. Zero is
+/// rejected rather than read as "uncapped".
+pub fn parse_count(text: &str) -> Result<usize, String> {
+    match text.parse::<usize>() {
+        Ok(0) => Err("must be at least 1".into()),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("not a valid count: {e}")),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -220,16 +322,6 @@ pub fn fig2_rows(grid: &SessionGrid) -> Vec<ImprovementRow> {
             large_btb1_cpi: grid.cpi(w, large),
         })
         .collect()
-}
-
-/// Figure 2: per-trace CPI improvement of configurations 2 and 3 over
-/// configuration 1, plus BTB2 effectiveness.
-pub fn figure2(opts: &ExperimentOptions) -> Vec<ImprovementRow> {
-    let grid = SimSession::from_options(opts)
-        .workloads(WorkloadProfile::all_table4())
-        .configs(SimConfig::table3())
-        .run();
-    fig2_rows(&grid)
 }
 
 // ---------------------------------------------------------------------------
@@ -253,17 +345,6 @@ pub fn fig3_rows(grid: &SessionGrid) -> Vec<Figure3Row> {
         .iter()
         .map(|w| Figure3Row { workload: w.clone(), improvement: grid.improvement(w, btb2, base) })
         .collect()
-}
-
-/// Figure 3: system-level benefit of the BTB2 on the two workloads
-/// measured on zEC12 hardware, approximated in simulation (the 4-core
-/// Web CICS/DB2 run becomes a 4-context time-sliced simulation).
-pub fn figure3(opts: &ExperimentOptions) -> Vec<Figure3Row> {
-    let grid = SimSession::from_options(opts)
-        .workloads(WorkloadProfile::hardware_pair())
-        .configs([SimConfig::no_btb2(), SimConfig::btb2_enabled()])
-        .run();
-    fig3_rows(&grid)
 }
 
 // ---------------------------------------------------------------------------
@@ -327,16 +408,6 @@ pub fn fig4_result(grid: &SessionGrid) -> Figure4Result {
     }
 }
 
-/// Figure 4: effect of the BTB2 on bad branch outcomes for the z/OS
-/// DayTrader DBServ workload.
-pub fn figure4(opts: &ExperimentOptions) -> Figure4Result {
-    let grid = SimSession::from_options(opts)
-        .workload(WorkloadProfile::daytrader_dbserv())
-        .configs([SimConfig::no_btb2(), SimConfig::btb2_enabled()])
-        .run();
-    fig4_result(&grid)
-}
-
 // ---------------------------------------------------------------------------
 // Figures 5, 6, 7 (sweeps)
 // ---------------------------------------------------------------------------
@@ -350,12 +421,6 @@ pub fn fig5_variants(sizes: &[u32]) -> Vec<(String, PredictorConfig)> {
             (label, PredictorConfig::zec12().with_btb2_entries(s))
         })
         .collect()
-}
-
-/// Figure 5: average benefit of the BTB2 at various capacities.
-/// `entries == 0` is the disabled baseline (0 % by construction).
-pub fn figure5(opts: &ExperimentOptions, sizes: &[u32]) -> Vec<SweepPoint> {
-    sweep(&fig5_variants(sizes), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 /// Default Figure 5 sizes: 6 k – 96 k entries.
@@ -373,12 +438,6 @@ pub fn fig6_variants(limits: &[u32]) -> Vec<(String, PredictorConfig)> {
         .collect()
 }
 
-/// Figure 6: average benefit under various BTB1-miss definitions
-/// (searches without a prediction before a miss is perceived).
-pub fn figure6(opts: &ExperimentOptions, limits: &[u32]) -> Vec<SweepPoint> {
-    sweep(&fig6_variants(limits), opts.len.unwrap_or(u64::MAX), opts.seed)
-}
-
 /// Default Figure 6 miss-definition sweep.
 pub const FIGURE6_LIMITS: [u32; 6] = [1, 2, 3, 4, 6, 8];
 
@@ -392,11 +451,6 @@ pub fn fig7_variants(counts: &[usize]) -> Vec<(String, PredictorConfig)> {
             (format!("{n} trackers"), cfg)
         })
         .collect()
-}
-
-/// Figure 7: average benefit with various BTB2 search tracker counts.
-pub fn figure7(opts: &ExperimentOptions, counts: &[usize]) -> Vec<SweepPoint> {
-    sweep(&fig7_variants(counts), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 /// Default Figure 7 tracker sweep.
@@ -441,20 +495,6 @@ pub fn table4_rows(sources: &[WorkloadSource], stats: &[TraceStats]) -> Vec<Tabl
         .collect()
 }
 
-/// Table 4: validates the synthesized workloads' branch footprints
-/// against the published counts.
-pub fn table4(opts: &ExperimentOptions) -> Vec<Table4Row> {
-    let sources: Vec<WorkloadSource> = if opts.sources.is_empty() {
-        WorkloadProfile::all_table4().into_iter().map(Into::into).collect()
-    } else {
-        opts.sources.clone()
-    };
-    let stats = par_map(&sources, |s| {
-        TraceStats::collect(&s.build_with_len(opts.seed, opts.len_for_source(s)))
-    });
-    table4_rows(&sources, &stats)
-}
-
 // ---------------------------------------------------------------------------
 // Ablations (§3.3, §3.5, §3.7 design choices)
 // ---------------------------------------------------------------------------
@@ -475,11 +515,6 @@ pub fn exclusivity_variants() -> Vec<(String, PredictorConfig)> {
     .collect()
 }
 
-/// Ablation A: exclusivity policies of §3.3.
-pub fn ablation_exclusivity(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&exclusivity_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
-}
-
 /// Ablation-B sweep variants: §3.7 transfer steering on vs off.
 pub fn steering_variants() -> Vec<(String, PredictorConfig)> {
     [true, false]
@@ -490,11 +525,6 @@ pub fn steering_variants() -> Vec<(String, PredictorConfig)> {
             (if on { "steered" } else { "sequential" }.to_string(), cfg)
         })
         .collect()
-}
-
-/// Ablation B: §3.7 transfer steering on vs off.
-pub fn ablation_steering(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&steering_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 /// Ablation-C sweep variants: §3.5 I-cache-miss filter modes.
@@ -513,11 +543,6 @@ pub fn filter_variants() -> Vec<(String, PredictorConfig)> {
     .collect()
 }
 
-/// Ablation C: §3.5 I-cache-miss filter modes.
-pub fn ablation_filter(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&filter_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
-}
-
 // ---------------------------------------------------------------------------
 // Future work (§6): BTB2 congruence-class span
 // ---------------------------------------------------------------------------
@@ -534,14 +559,6 @@ pub fn congruence_variants(spans: &[u32]) -> Vec<(String, PredictorConfig)> {
             (format!("{span} B rows"), cfg)
         })
         .collect()
-}
-
-/// §6 future-work study: widen the BTB2 congruence class from 32 B to
-/// 64 B / 128 B of instruction space. Wider rows transfer a 4 KB block in
-/// fewer reads (higher bus efficiency) but can overflow when a sequential
-/// code stream holds more branches than one row's associativity.
-pub fn future_congruence(opts: &ExperimentOptions, spans: &[u32]) -> Vec<SweepPoint> {
-    sweep(&congruence_variants(spans), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 /// Default §6 congruence spans.
@@ -568,13 +585,6 @@ pub fn miss_detection_variants() -> Vec<(String, PredictorConfig)> {
     .collect()
 }
 
-/// §6 future-work study: the shipped early/speculative perceived-miss
-/// definition versus the later, less speculative decode-stage definition
-/// (and both combined).
-pub fn future_miss_detection(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&miss_detection_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
-}
-
 /// §6 sweep variants: single vs chained multi-block transfers.
 pub fn multiblock_variants() -> Vec<(String, PredictorConfig)> {
     [false, true]
@@ -585,12 +595,6 @@ pub fn multiblock_variants() -> Vec<(String, PredictorConfig)> {
             (if on { "single + chained block" } else { "single block (shipped)" }.to_string(), cfg)
         })
         .collect()
-}
-
-/// §6 future-work study: chasing one taken-branch target per bulk
-/// transfer into a chained transfer of the target block.
-pub fn future_multiblock(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&multiblock_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 /// §6 sweep variants: SRAM vs eDRAM second-level trade-offs.
@@ -607,13 +611,6 @@ pub fn edram_variants() -> Vec<(String, PredictorConfig)> {
         (name.to_string(), cfg)
     })
     .collect()
-}
-
-/// §6 future-work study: SRAM vs eDRAM second level — same silicon area
-/// buys a denser but slower BTB2. Latency figures are illustrative
-/// (eDRAM ~2-3x the SRAM array latency at ~2-4x the density).
-pub fn future_edram(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&edram_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 // ---------------------------------------------------------------------------
@@ -676,18 +673,6 @@ pub fn wrongpath_rows(grid: &SessionGrid) -> Vec<WrongPathRow> {
         .collect()
 }
 
-/// Ablation D: the paper's model simulates wrong-path execution; this
-/// model approximates its I-cache side (wrong-path lines pollute — and
-/// occasionally accidentally prefetch — the L1I). Measures how much the
-/// BTB2's benefit shifts when wrong-path fetch is modelled.
-pub fn ablation_wrongpath(opts: &ExperimentOptions) -> Vec<WrongPathRow> {
-    let grid = SimSession::from_options(opts)
-        .workloads(WorkloadProfile::all_table4())
-        .configs(wrongpath_configs())
-        .run();
-    wrongpath_rows(&grid)
-}
-
 // ---------------------------------------------------------------------------
 // Comparison baseline: Phantom-BTB (§2 related work)
 // ---------------------------------------------------------------------------
@@ -698,14 +683,6 @@ pub fn phantom_variants() -> Vec<(String, PredictorConfig)> {
         ("bulk preload BTB2 (zEC12)".to_string(), PredictorConfig::zec12()),
         ("phantom BTB (virtualized)".to_string(), PredictorConfig::phantom_btb()),
     ]
-}
-
-/// Comparison against the §2 related work: a Phantom-BTB-style
-/// virtualized second level (temporal-group prefetching out of the L2)
-/// versus the paper's dedicated bulk-preload BTB2, at matched metadata
-/// capacity (24 k entries).
-pub fn comparison_phantom(opts: &ExperimentOptions) -> Vec<SweepPoint> {
-    sweep(&phantom_variants(), opts.len.unwrap_or(u64::MAX), opts.seed)
 }
 
 // ---------------------------------------------------------------------------
@@ -875,56 +852,10 @@ pub fn tournament_report(
     TournamentReport { cells, winners, wins, h2p_workload, h2p }
 }
 
-/// The cross-backend direction-predictor tournament: every Table-4
-/// workload under every registered [`SimConfig::direction_backends`]
-/// column, plus the H2P offender breakdown.
-pub fn predictor_tournament(opts: &ExperimentOptions) -> TournamentReport {
-    let sources: Vec<WorkloadSource> = if opts.sources.is_empty() {
-        WorkloadProfile::all_table4().into_iter().map(Into::into).collect()
-    } else {
-        opts.sources.clone()
-    };
-    let configs = SimConfig::direction_backends();
-    let grid =
-        SimSession::from_options(opts).workloads(sources.clone()).configs(configs.clone()).run();
-    tournament_report(&grid, &sources, &configs, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick() -> ExperimentOptions {
-        ExperimentOptions::quick(20_000, 7)
-    }
-
-    #[test]
-    fn figure2_produces_13_rows() {
-        let rows = figure2(&quick());
-        assert_eq!(rows.len(), 13);
-        for r in &rows {
-            assert!(r.baseline_cpi > 0.0);
-            assert!(r.btb2_cpi > 0.0);
-            assert!(r.large_btb1_cpi > 0.0);
-        }
-    }
-
-    #[test]
-    fn figure4_breakdowns_are_consistent() {
-        let r = figure4(&quick());
-        assert_eq!(r.workload, "Z/OS DayTrader DBServ");
-        assert!(r.without_btb2.total() <= 100.0);
-        assert!(r.with_btb2.total() <= 100.0);
-        assert!(r.without_btb2.total() > 0.0, "short cold runs have bad outcomes");
-    }
-
-    #[test]
-    fn table4_reports_targets() {
-        let rows = table4(&quick());
-        assert_eq!(rows.len(), 13);
-        assert_eq!(rows[0].target_branches, 15_244);
-        assert!(rows.iter().all(|r| r.instructions == 20_000));
-    }
+    use crate::session::SimSession;
 
     #[test]
     fn options_defaults_and_len_cap() {
@@ -945,6 +876,67 @@ mod tests {
         assert_eq!(parse_seed("0Xec12").unwrap(), 0xEC12);
         assert!(parse_seed("12 monkeys").is_err());
         assert!(parse_seed("").is_err());
+    }
+
+    fn flags(argv: &str) -> Result<RunFlags, String> {
+        let mut flags = RunFlags::default();
+        let mut it = argv.split_whitespace();
+        while let Some(flag) = it.next() {
+            let value =
+                || it.next().map(String::from).ok_or_else(|| format!("{flag} needs a value"));
+            if !flags.take(flag, value)? {
+                return Err(format!("unknown flag {flag}"));
+            }
+        }
+        Ok(flags)
+    }
+
+    #[test]
+    fn run_flags_parse_and_validate() {
+        let f = flags("--len 500 --seed 0x2b --workers 2 --lanes 3 --cache-dir c --fresh-traces")
+            .unwrap();
+        assert_eq!((f.len, f.seed, f.workers, f.lanes), (Some(500), Some(0x2b), Some(2), Some(3)));
+        assert_eq!(f.cache_dir.as_deref(), Some(Path::new("c")));
+        assert!(f.fresh_traces);
+        for bad in ["--workers 0", "--lanes 0", "--len 12k", "--seed nope", "--workers", "--bogus"]
+        {
+            assert!(flags(bad).is_err(), "{bad:?} must be rejected");
+        }
+        let err = flags("--workers 0").unwrap_err();
+        assert!(err.contains("--workers") && err.contains("at least 1"), "unexpected: {err}");
+        assert_eq!(parse_count("0"), Err("must be at least 1".into()));
+    }
+
+    #[test]
+    fn run_flags_override_the_environment() {
+        let env = ExperimentOptions {
+            len: Some(10),
+            seed: 1,
+            workers: Some(4),
+            lanes: Some(2),
+            cache_dir: Some("env-cache".into()),
+            trace_store: Arc::new(TraceStore::at("env-store")),
+            ..ExperimentOptions::default()
+        };
+        // No flags: every environment value survives.
+        let kept = RunFlags::default().apply(env.clone());
+        assert_eq!(kept, env);
+        // Every flag wins over its variable, the trace store included.
+        let f =
+            flags("--len 20 --seed 2 --workers 1 --lanes 1 --cache-dir c --trace-store s").unwrap();
+        let o = f.apply(env.clone());
+        assert_eq!((o.len, o.seed, o.workers, o.lanes), (Some(20), 2, Some(1), Some(1)));
+        assert_eq!(o.cache_dir.as_deref(), Some(Path::new("c")));
+        assert_eq!(o.trace_store.dir(), Some(Path::new("s")));
+        assert!(o.trace_store.reads());
+        // --fresh-traces alone turns the environment's store write-only.
+        let o = flags("--fresh-traces").unwrap().apply(env);
+        assert_eq!(o.trace_store.dir(), Some(Path::new("env-store")));
+        assert!(!o.trace_store.reads());
+        // With neither, the store and the cache default under results_dir().
+        let o = RunFlags::default().apply(ExperimentOptions::default());
+        assert_eq!(o.trace_store.dir(), Some(results_dir().join("traces").as_path()));
+        assert_eq!(o.cache_dir, Some(results_dir().join("cache")));
     }
 
     #[test]

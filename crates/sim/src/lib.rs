@@ -9,11 +9,11 @@
 //! * [`runner::Simulator`] — replay one workload under one configuration;
 //! * [`session::SimSession`] — batch a workload × configuration grid
 //!   through one parallel fan-out and query the results by name;
-//! * [`sweep`] — parameter sweeps with parallel execution;
+//! * [`sweep`] — sweep-grid columns and their per-variant scoring;
 //! * [`experiments`] — typed results + post-processing for every paper
-//!   table/figure, with direct typed wrappers for library users;
-//! * [`registry`] — the declarative experiment registry the CLI and
-//!   bench targets resolve experiments through, with provenance
+//!   table/figure, plus the run options and flags the front ends share;
+//! * [`registry`] — the declarative experiment registry `zbp-cli` and
+//!   `zbp-serve` resolve experiments through, with provenance
 //!   manifests;
 //! * [`cache`] — the content-addressed per-cell result cache that makes
 //!   interrupted grid runs resumable;

@@ -11,14 +11,15 @@
 //! configuration over another on the same workload.
 //!
 //! Workload synthesis is shared across each row: the workload's
-//! instruction stream is captured once into a [`MaterializedTrace`] and
-//! every configuration column replays the shared capture — O(W×C)
-//! dynamic walks become O(W) walks plus cheap slice scans — then the
-//! capture is dropped before the next row claims the worker, keeping
-//! resident captures bounded by the worker count rather than the grid
-//! width. Workloads whose capture would exceed
-//! [`SimSession::materialize_cap`] replay their re-runnable generator
-//! per column instead, trading the redundant walks back for flat memory.
+//! instruction stream is captured once into a [`CompactTrace`] (or
+//! loaded from the trace store) and every configuration column replays
+//! the shared capture — O(W×C) dynamic walks become O(W) walks plus
+//! cheap decodes — then the capture is recycled before the next row
+//! claims the worker, keeping resident captures bounded by the worker
+//! count rather than the grid width. Workloads whose compact capture
+//! would exceed the session's byte cap (1 GiB) replay their re-runnable
+//! generator per column instead, trading the redundant walks back for
+//! flat memory.
 
 use crate::cache::{CellCache, CellKey};
 use crate::config::SimConfig;
@@ -28,9 +29,8 @@ use crate::runner::{SimResult, Simulator};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use zbp_support::json::{self, FromJson, Json, ToJson};
-use zbp_trace::materialize::MaterializedTrace;
 use zbp_trace::source::WorkloadSource;
-use zbp_trace::{CompactParts, CompactTrace, Trace, TraceInstr, TraceStore};
+use zbp_trace::{CompactParts, CompactTrace, TraceStore};
 use zbp_uarch::core::CoreResult;
 
 /// Builder for a batched workload × configuration run.
@@ -54,7 +54,6 @@ pub struct SimSession {
     seed: u64,
     len: Option<u64>,
     materialize_cap: u64,
-    compact: bool,
     lanes: Option<usize>,
     store: Arc<TraceStore>,
     workloads: Vec<WorkloadSource>,
@@ -67,9 +66,9 @@ impl Default for SimSession {
     }
 }
 
-/// Default per-workload [`SimSession::materialize_cap`]: 1 GiB of record
-/// storage, enough for every Table-4 workload at its default length.
-pub const DEFAULT_MATERIALIZE_CAP: u64 = 1 << 30;
+/// Per-workload cap on a shared compact capture: 1 GiB, far above
+/// every Table-4 workload at its default length.
+const DEFAULT_MATERIALIZE_CAP: u64 = 1 << 30;
 
 impl SimSession {
     /// An empty session with the default seed and uncapped lengths.
@@ -79,7 +78,6 @@ impl SimSession {
             seed: opts.seed,
             len: opts.len,
             materialize_cap: DEFAULT_MATERIALIZE_CAP,
-            compact: opts.compact,
             lanes: opts.lanes,
             store: Arc::new(TraceStore::disabled()),
             workloads: Vec::new(),
@@ -87,13 +85,12 @@ impl SimSession {
         }
     }
 
-    /// Takes seed, length cap, replay encoding, lane width and trace
-    /// store from [`ExperimentOptions`].
+    /// Takes seed, length cap, lane width and trace store from
+    /// [`ExperimentOptions`].
     pub fn from_options(opts: &ExperimentOptions) -> Self {
         Self {
             seed: opts.seed,
             len: opts.len,
-            compact: opts.compact,
             lanes: opts.lanes,
             store: Arc::clone(&opts.trace_store),
             ..Self::new()
@@ -116,32 +113,22 @@ impl SimSession {
         self
     }
 
-    /// Caps the bytes one workload's capture may occupy when its trace
-    /// is materialized for sharing across configuration columns —
-    /// compact bytes on the default compact path, record bytes on the
-    /// reference path. Workloads over the cap are regenerated per cell
-    /// instead (`0` disables sharing entirely). Defaults to
-    /// [`DEFAULT_MATERIALIZE_CAP`].
+    /// Caps the compact bytes one workload's shared capture may occupy.
+    /// Workloads over the cap are regenerated per cell instead (`0`
+    /// disables sharing entirely), which tests use to drive the
+    /// fallback. Defaults to [`DEFAULT_MATERIALIZE_CAP`].
+    #[cfg(test)]
     #[must_use]
-    pub fn materialize_cap(mut self, bytes: u64) -> Self {
+    pub(crate) fn materialize_cap(mut self, bytes: u64) -> Self {
         self.materialize_cap = bytes;
         self
     }
 
-    /// Selects the replay encoding: `true` (default) captures into the
-    /// compact branch-point form and replays run-batched; `false` uses
-    /// the record-based reference path. Both are bit-identical.
-    #[must_use]
-    pub fn compact(mut self, compact: bool) -> Self {
-        self.compact = compact;
-        self
-    }
-
     /// Caps how many configuration columns one decode-once lane group
-    /// replays together on the compact path (`None`, the default, bats
-    /// every requested column of a row in a single group; `1` degrades
-    /// to sequential per-column replay). Purely a batching knob — any
-    /// lane width produces bit-identical results.
+    /// replays together (`None`, the default, batches every requested
+    /// column of a row in a single group; `1` degrades to sequential
+    /// per-column replay). Purely a batching knob — any lane width
+    /// produces bit-identical results.
     #[must_use]
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.lanes = Some(lanes);
@@ -152,9 +139,8 @@ impl SimSession {
     /// their capture from disk instead of regenerating it, and freshly
     /// captured rows are persisted for the next run. Store-loaded
     /// replays are bit-identical to generate-and-encode replays (the
-    /// store only short-circuits *capture*, never simulation). Only the
-    /// compact path consults the store; the record reference path
-    /// always regenerates.
+    /// store only short-circuits *capture*, never simulation). Rows
+    /// over the capture cap bypass the store and regenerate.
     #[must_use]
     pub fn trace_store(mut self, store: Arc<TraceStore>) -> Self {
         self.store = store;
@@ -202,20 +188,20 @@ impl SimSession {
     /// Runs every workload × configuration cell, workload-major.
     ///
     /// Generate-once: each workload row is synthesized a single time and
-    /// captured into a [`MaterializedTrace`] that every configuration
-    /// column of that row replays (a nested [`par_map`]: rows fan out
-    /// across workloads, columns fan out across configurations within a
-    /// row). The capture is dropped as soon as its row completes, so at
-    /// most one capture per outer worker is resident — a flat
+    /// captured into a [`CompactTrace`] that every configuration column
+    /// of that row replays through one decode-once lane group (rows fan
+    /// out across workloads through [`par_map`]). The capture is
+    /// recycled as soon as its row completes, so at most one capture
+    /// per outer worker is resident — a flat
     /// capture-everything pre-pass holds all rows live at once, which
     /// measurably slows the captures themselves on memory-starved
     /// machines (every buffer is fresh, faulted-in memory instead of
     /// pages recycled from the previous row).
     ///
-    /// Workloads whose capture would exceed [`Self::materialize_cap`]
-    /// replay their re-runnable generator directly instead. Either path
-    /// replays the identical instruction stream, so results are
-    /// bit-identical regardless of the cap.
+    /// Workloads whose capture would exceed the byte cap replay their
+    /// re-runnable generator directly instead. Either path replays the
+    /// identical instruction stream, so results are bit-identical
+    /// regardless of the cap.
     pub fn run(&self) -> SessionGrid {
         let pool = CapturePool::default();
         let all: Vec<usize> = (0..self.configs.len()).collect();
@@ -235,16 +221,14 @@ impl SimSession {
     }
 
     /// Replays one workload row across the configuration columns in
-    /// `which` (indices into `self.configs`), via the session's
-    /// preferred capture form.
+    /// `which` (indices into `self.configs`).
     ///
     /// Capture preference order: a trace-store load of the compact
     /// encoding (when a store is attached — skipping generation and
     /// encoding entirely), then a fresh compact capture (persisted to
-    /// the store for the next run, when the stream both encodes and
-    /// fits [`Self::materialize_cap`] in compact bytes), then a record
-    /// capture under the same byte cap, then per-column generator
-    /// walking. All four replay the identical stream bit-identically.
+    /// the store for the next run) when it fits the byte cap, then
+    /// per-column generator walks. All three replay the identical
+    /// stream bit-identically.
     fn replay_row(
         &self,
         s: &WorkloadSource,
@@ -252,47 +236,44 @@ impl SimSession {
         which: &[usize],
         pool: &CapturePool,
     ) -> Vec<CoreResult> {
-        if self.compact {
-            let mut parts = pool.compact.lock().expect("pool lock").pop().unwrap_or_default();
-            let key = self.store.is_enabled().then(|| s.store_key(self.seed, len));
-            if let Some(key) = &key {
-                match self.store.load(key, parts) {
-                    // A stored capture over the session's cap replays
-                    // regenerated instead, as an uncapped store entry
-                    // must not defeat a deliberately small cap.
-                    Ok(compact) if compact.bytes() <= self.materialize_cap => {
-                        let results = self.replay_compact(&compact, which);
-                        if let Some(back) = compact.into_parts() {
-                            pool.compact.lock().expect("pool lock").push(back);
-                        }
-                        return results;
-                    }
-                    Ok(compact) => {
-                        parts = compact.into_parts().unwrap_or_default();
-                    }
-                    Err(back) => parts = back,
-                }
-            }
-            let gen = s.build_with_len(self.seed, len);
-            match CompactTrace::capture_within_into(&gen, self.materialize_cap, parts) {
-                Ok(compact) => {
-                    if let Some(key) = &key {
-                        self.store.store(key, &compact);
-                    }
+        let mut parts = pool.compact.lock().expect("pool lock").pop().unwrap_or_default();
+        let key = self.store.is_enabled().then(|| s.store_key(self.seed, len));
+        if let Some(key) = &key {
+            match self.store.load(key, parts) {
+                // A stored capture over the session's cap replays
+                // regenerated instead, as an uncapped store entry must
+                // not defeat a deliberately small cap.
+                Ok(compact) if compact.bytes() <= self.materialize_cap => {
                     let results = self.replay_compact(&compact, which);
                     if let Some(back) = compact.into_parts() {
                         pool.compact.lock().expect("pool lock").push(back);
                     }
                     return results;
                 }
-                // Over-budget or unencodable streams fall through to the
-                // record path (whose own cap check decides sharing).
-                Err(e) => pool.compact.lock().expect("pool lock").push(e.into_parts()),
+                Ok(compact) => {
+                    parts = compact.into_parts().unwrap_or_default();
+                }
+                Err(back) => parts = back,
             }
-            return self.replay_records(&gen, len, which, pool);
         }
         let gen = s.build_with_len(self.seed, len);
-        self.replay_records(&gen, len, which, pool)
+        match CompactTrace::capture_within_into(&gen, self.materialize_cap, parts) {
+            Ok(compact) => {
+                if let Some(key) = &key {
+                    self.store.store(key, &compact);
+                }
+                let results = self.replay_compact(&compact, which);
+                if let Some(back) = compact.into_parts() {
+                    pool.compact.lock().expect("pool lock").push(back);
+                }
+                results
+            }
+            // An over-budget stream walks its generator once per column.
+            Err(e) => {
+                pool.compact.lock().expect("pool lock").push(e.into_parts());
+                par_map(which, |&i| Simulator::run_config(&self.configs[i], &gen).core)
+            }
+        }
     }
 
     /// Replays the configuration columns in `which` against one shared
@@ -328,28 +309,6 @@ impl SimSession {
             );
         }
         lane_of.into_iter().map(|l| lane_results[l].clone()).collect()
-    }
-
-    /// The record-based reference path: a shared record capture when it
-    /// fits the cap, per-column generator walks otherwise.
-    fn replay_records<T: Trace + Sync>(
-        &self,
-        gen: &T,
-        len: u64,
-        which: &[usize],
-        pool: &CapturePool,
-    ) -> Vec<CoreResult> {
-        if MaterializedTrace::estimated_bytes(len) <= self.materialize_cap {
-            let buf = pool.records.lock().expect("pool lock").pop().unwrap_or_default();
-            let mat = MaterializedTrace::capture_into(gen, buf);
-            let results = par_map(which, |&i| Simulator::run_config(&self.configs[i], &mat).core);
-            if let Some(buf) = mat.into_records() {
-                pool.records.lock().expect("pool lock").push(buf);
-            }
-            results
-        } else {
-            par_map(which, |&i| Simulator::run_config(&self.configs[i], gen).core)
-        }
     }
 
     /// Enumerates the grid's cells row-major, each with the exact cache
@@ -514,12 +473,9 @@ impl SimSession {
 ///
 /// Captures sit above the allocator's mmap threshold, so dropping one
 /// unmaps it and the next row would re-fault every page of a fresh
-/// mapping; rows instead return their buffers here. Record and compact
-/// buffers pool separately — a session only ever draws from one side,
-/// but a compact fallback row can populate both.
+/// mapping; rows instead return their buffers here.
 #[derive(Debug, Default)]
 struct CapturePool {
-    records: Mutex<Vec<Vec<TraceInstr>>>,
     compact: Mutex<Vec<CompactParts>>,
 }
 
@@ -659,41 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn session_matches_a_direct_simulator_run() {
-        let p = WorkloadProfile::zlinux_informix();
-        let grid = SimSession::new()
-            .seed(3)
-            .max_len(20_000)
-            .workload(p.clone())
-            .config(SimConfig::btb2_enabled())
-            .run();
-        let trace = p.build_with_len(3, 20_000.min(p.default_len));
-        let direct = Simulator::new(SimConfig::btb2_enabled()).run(&trace);
-        assert_eq!(grid.result(&p.name, "BTB2 enabled").cpi(), direct.cpi());
-    }
-
-    #[test]
-    fn shared_and_walked_grids_are_bit_identical() {
-        // The materialized fast path must change speed, not predictions:
-        // a capped session (every cell re-walks its generator) and the
-        // default shared session produce the same results.
-        let session = SimSession::new()
-            .seed(11)
-            .max_len(8_000)
-            .workloads(vec![WorkloadProfile::tpf_airline(), WorkloadProfile::zos_lspr_wasdb_cbw2()])
-            .configs(vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()]);
-        let shared = session.clone().run();
-        let walked = session.materialize_cap(0).run();
-        for w in shared.workloads() {
-            for c in shared.configs() {
-                let (s, k) = (shared.result(w, c), walked.result(w, c));
-                assert_eq!(s.core.cycles, k.core.cycles, "({w}, {c}) cycles diverged");
-                assert_eq!(s.core.outcomes, k.core.outcomes, "({w}, {c}) outcomes diverged");
-            }
-        }
-    }
-
-    #[test]
     fn cached_runs_are_bit_identical_and_hit_on_rerun() {
         let dir = std::env::temp_dir().join(format!("zbp-session-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -738,41 +659,27 @@ mod tests {
     }
 
     #[test]
-    fn compact_and_record_grids_are_bit_identical() {
-        // The compact branch-point fast path must change speed, not
-        // predictions: the same session over the reference record path
-        // and over per-cell walking produces the same results.
+    fn grid_cells_match_the_generator_oracle() {
+        // The shared compact capture and its lane replay must change
+        // speed, not predictions: every cell, shared or walked per
+        // column over the cap, equals the reference per-instruction
+        // replay of the workload's generator.
+        let workloads = vec![WorkloadProfile::tpf_airline(), WorkloadProfile::zos_lspr_ims()];
+        let configs = vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()];
         let session = SimSession::new()
             .seed(13)
             .max_len(9_000)
-            .workloads(vec![WorkloadProfile::tpf_airline(), WorkloadProfile::zos_lspr_ims()])
-            .configs(vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()]);
-        let compact = session.clone().run();
-        let record = session.clone().compact(false).run();
-        let walked = session.compact(false).materialize_cap(0).run();
-        for w in compact.workloads() {
-            for c in compact.configs() {
-                let fast = compact.result(w, c);
-                assert_eq!(fast.core, record.result(w, c).core, "({w}, {c}) record diverged");
-                assert_eq!(fast.core, walked.result(w, c).core, "({w}, {c}) walked diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn compact_session_over_cap_falls_back_bit_identically() {
-        // A cap of 0 declines both capture forms; every cell re-walks
-        // its generator and the results still match the shared path.
-        let session = SimSession::new()
-            .seed(21)
-            .max_len(6_000)
-            .workload(WorkloadProfile::tpf_airline())
-            .configs(vec![SimConfig::no_btb2(), SimConfig::btb2_enabled()]);
+            .workloads(workloads.clone())
+            .configs(configs.clone());
         let shared = session.clone().run();
-        let capped = session.materialize_cap(0).run();
-        for w in shared.workloads() {
-            for c in shared.configs() {
-                assert_eq!(shared.result(w, c).core, capped.result(w, c).core);
+        let walked = session.materialize_cap(0).run();
+        for p in &workloads {
+            let trace = p.build_with_len(13, 9_000.min(p.default_len));
+            for c in &configs {
+                let oracle = Simulator::run_config(c, &trace).core;
+                let (w, n) = (&p.name, &c.name);
+                assert_eq!(shared.result(w, n).core, oracle, "({w}, {n}) shared diverged");
+                assert_eq!(walked.result(w, n).core, oracle, "({w}, {n}) walked diverged");
             }
         }
     }
@@ -858,9 +765,9 @@ mod tests {
 
     #[test]
     fn store_entry_over_session_cap_is_regenerated_bit_identically() {
-        // A warm store must not defeat a deliberately small materialize
-        // cap: the loaded capture is discarded and the row replays via
-        // the record/walking fallback, still bit-identical.
+        // A warm store must not defeat a deliberately small capture
+        // cap: the loaded capture is discarded and the row walks its
+        // generator per column, still bit-identical.
         let dir = std::env::temp_dir().join(format!("zbp-session-storecap-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let base = SimSession::new()

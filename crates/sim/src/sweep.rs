@@ -1,14 +1,15 @@
-//! Parameter sweeps over the 13 Table-4 workloads.
+//! Parameter sweeps over the Table-4 workloads.
 //!
 //! Each sweep point is a predictor-configuration variant; its score is
 //! the mean CPI improvement over the no-BTB2 baseline across all
-//! workloads — exactly what Figures 5, 6 and 7 plot.
+//! workloads — exactly what Figures 5, 6 and 7 plot. A sweep is one
+//! grid: [`sweep_configs`] lays out its columns (the shared baseline
+//! plus one per variant) and [`points_from_grid`] scores them.
 
 use crate::config::SimConfig;
 use crate::report::mean;
-use crate::session::{SessionGrid, SimSession};
+use crate::session::SessionGrid;
 use zbp_predictor::PredictorConfig;
-use zbp_trace::profile::WorkloadProfile;
 
 /// Result of one sweep point.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,33 +20,6 @@ pub struct SweepPoint {
     pub avg_improvement: f64,
     /// Per-workload improvements (%), in Table-4 order.
     pub per_trace: Vec<(String, f64)>,
-}
-
-/// Runs a sweep: for each (label, variant), the mean CPI improvement over
-/// the shared no-BTB2 baseline across the Table-4 workloads.
-///
-/// `len` caps the per-trace dynamic instruction count; `seed` controls
-/// workload synthesis.
-pub fn sweep(variants: &[(String, PredictorConfig)], len: u64, seed: u64) -> Vec<SweepPoint> {
-    sweep_profiles(&WorkloadProfile::all_table4(), variants, len, seed)
-}
-
-/// [`sweep`] over an explicit set of workload profiles.
-pub fn sweep_profiles(
-    profiles: &[WorkloadProfile],
-    variants: &[(String, PredictorConfig)],
-    len: u64,
-    seed: u64,
-) -> Vec<SweepPoint> {
-    // One grid: the shared no-BTB2 baseline plus every variant, so all
-    // (workload, variant) cells run in a single parallel batch.
-    let grid = SimSession::new()
-        .seed(seed)
-        .max_len(len)
-        .workloads(profiles.to_vec())
-        .configs(sweep_configs(variants))
-        .run();
-    points_from_grid(&grid)
 }
 
 /// Builds the configuration columns of a sweep grid: the shared no-BTB2
@@ -79,6 +53,8 @@ pub fn points_from_grid(grid: &SessionGrid) -> Vec<SweepPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SimSession;
+    use zbp_trace::profile::WorkloadProfile;
 
     #[test]
     fn sweep_runs_each_variant_over_each_profile() {
@@ -87,7 +63,11 @@ mod tests {
             ("off".to_string(), PredictorConfig::no_btb2()),
             ("on".to_string(), PredictorConfig::zec12()),
         ];
-        let points = sweep_profiles(&profiles, &variants, 25_000, 3);
+        let configs = sweep_configs(&variants);
+        assert_eq!(configs.len(), 3, "the shared baseline plus one column per variant");
+        let grid =
+            SimSession::new().seed(3).max_len(25_000).workloads(profiles).configs(configs).run();
+        let points = points_from_grid(&grid);
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].per_trace.len(), 2);
         // The "off" variant IS the baseline: ~0% improvement.

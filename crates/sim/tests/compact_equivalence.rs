@@ -1,28 +1,44 @@
-//! Acceptance test for the compact replay path: the full figure-2 grid
-//! run through the compact branch-point encoding must produce an
-//! artifact bit-identical (modulo the volatile manifest fields) to the
-//! same grid run through the record-based reference path.
+//! Acceptance test for the compact replay path: every cell of the
+//! registry's figure grids, replayed through the shared compact capture
+//! and the decode-once lane kernel, must equal the reference
+//! per-instruction replay of the workload's generator
+//! (`Simulator::run_config`) bit-for-bit.
 
-use zbp_sim::cache::CellCache;
-use zbp_sim::experiments::ExperimentOptions;
-use zbp_sim::registry::{self, strip_volatile};
+use zbp_sim::experiments::{self, ExperimentOptions};
+use zbp_sim::registry;
+use zbp_sim::sweep::sweep_configs;
+use zbp_sim::{SimConfig, Simulator};
+
+fn assert_grid_matches_the_oracle(id: &str, configs: Vec<SimConfig>) {
+    let opts = ExperimentOptions::quick(12_000, 7);
+    let spec = registry::find(id).expect("spec is registered");
+    let grid = spec.grid_session(&opts).expect("spec is a grid").run();
+    let names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
+    assert_eq!(grid.configs(), names.as_slice(), "{id}: unexpected grid columns");
+    let sources = spec.sources(&opts);
+    assert!(sources.len() * configs.len() > 1, "{id}: grid must cover several cells");
+    for source in &sources {
+        let trace = source.build_with_len(opts.seed, opts.len_for_source(source));
+        for config in &configs {
+            let oracle = Simulator::run_config(config, &trace).core;
+            let (w, c) = (source.name(), &config.name);
+            assert_eq!(grid.result(w, c).core, oracle, "{id}: ({w}, {c}) diverged from the oracle");
+        }
+    }
+}
 
 #[test]
-fn fig2_grid_is_bit_identical_across_trace_encodings() {
-    let spec = registry::find("fig2").expect("fig2 is registered");
-    let mut opts = ExperimentOptions::quick(12_000, 7);
+fn fig2_cells_match_the_generator_oracle() {
+    assert_grid_matches_the_oracle("fig2", SimConfig::table3().to_vec());
+}
 
-    opts.compact = true;
-    let compact = spec.run(&opts, &CellCache::disabled());
-    assert!(compact.manifest.cells > 1, "grid must cover several cells");
+#[test]
+fn wrongpath_cells_match_the_generator_oracle() {
+    assert_grid_matches_the_oracle("ablation_wrongpath", experiments::wrongpath_configs());
+}
 
-    opts.compact = false;
-    let record = spec.run(&opts, &CellCache::disabled());
-    assert_eq!(compact.manifest.cells, record.manifest.cells);
-
-    assert_eq!(
-        strip_volatile(&compact.artifact()),
-        strip_volatile(&record.artifact()),
-        "compact replay must reproduce the record-path artifact bit-for-bit"
-    );
+#[test]
+fn fig5_cells_match_the_generator_oracle() {
+    let variants = experiments::fig5_variants(&experiments::FIGURE5_SIZES);
+    assert_grid_matches_the_oracle("fig5", sweep_configs(&variants));
 }

@@ -15,12 +15,11 @@
 //! zbp-cli experiment verify fig4
 //! ```
 
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 use zbp::prelude::*;
 use zbp::sim::cache::CellCache;
-use zbp::sim::experiments::{parse_seed, ExperimentOptions};
+use zbp::sim::experiments::{results_dir, ExperimentOptions, RunFlags};
 use zbp::sim::registry::{self, strip_volatile, ExperimentSpec, Manifest, MANIFEST_SCHEMA_VERSION};
 use zbp::sim::report::{pct, render_table};
 use zbp::support::json::{FromJson, Json};
@@ -94,23 +93,9 @@ const COMMANDS: [&str; 11] = [
     "help",
 ];
 
-const FLAGS: [&str; 15] = [
-    "--profile",
-    "--in",
-    "--out",
-    "--config",
-    "--len",
-    "--seed",
-    "--cells",
-    "--workers",
-    "--lanes",
-    "--cache-dir",
-    "--resume",
-    "--fresh",
-    "--trace-store",
-    "--fresh-traces",
-    "--trace",
-];
+/// The CLI's own flags; the shared run flags are [`RunFlags::NAMES`].
+const FLAGS: [&str; 8] =
+    ["--profile", "--in", "--out", "--config", "--cells", "--resume", "--fresh", "--trace"];
 
 #[derive(Debug, Default)]
 struct Args {
@@ -121,17 +106,12 @@ struct Args {
     input: Option<String>,
     output: Option<String>,
     config: Option<String>,
-    len: Option<u64>,
-    seed: Option<u64>,
     cells: Option<u64>,
-    workers: Option<usize>,
-    lanes: Option<usize>,
-    cache_dir: Option<String>,
     fresh: bool,
     resume: bool,
-    trace_store: Option<String>,
-    fresh_traces: bool,
     traces: Vec<String>,
+    /// `--len/--seed/--workers/--lanes/--cache-dir/--trace-store/--fresh-traces`.
+    run: RunFlags,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -185,15 +165,14 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut value =
             || it.next().cloned().ok_or_else(|| format!("flag {flag} requires a value"));
+        if args.run.take(flag, &mut value)? {
+            continue;
+        }
         match flag.as_str() {
             "--profile" => args.profile = Some(value()?),
             "--in" => args.input = Some(value()?),
             "--out" => args.output = Some(value()?),
             "--config" => args.config = Some(value()?),
-            "--len" => args.len = Some(value()?.parse().map_err(|e| format!("--len: {e}"))?),
-            "--seed" => {
-                args.seed = Some(parse_seed(&value()?).map_err(|e| format!("--seed: {e}"))?)
-            }
             "--cells" => {
                 let n: u64 = value()?.parse().map_err(|e| format!("--cells: {e}"))?;
                 if n == 0 {
@@ -201,28 +180,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
                 args.cells = Some(n);
             }
-            "--workers" => {
-                let n: usize = value()?.parse().map_err(|e| format!("--workers: {e}"))?;
-                if n == 0 {
-                    return Err("--workers: must be at least 1".into());
-                }
-                args.workers = Some(n);
-            }
-            "--lanes" => {
-                let n: usize = value()?.parse().map_err(|e| format!("--lanes: {e}"))?;
-                if n == 0 {
-                    return Err("--lanes: must be at least 1".into());
-                }
-                args.lanes = Some(n);
-            }
-            "--cache-dir" => args.cache_dir = Some(value()?),
             "--resume" => args.resume = true,
             "--fresh" => args.fresh = true,
-            "--trace-store" => args.trace_store = Some(value()?),
-            "--fresh-traces" => args.fresh_traces = true,
             "--trace" => args.traces.push(value()?),
             other => {
-                let hint = registry::closest(other, FLAGS)
+                let hint = registry::closest(other, FLAGS.into_iter().chain(RunFlags::NAMES))
                     .map(|f| format!(" — did you mean '{f}'?"))
                     .unwrap_or_default();
                 return Err(format!("unknown flag {other}{hint}"));
@@ -268,8 +230,8 @@ fn find_profile(key: &str) -> Result<WorkloadProfile, String> {
 fn build_trace(args: &Args) -> Result<ProfileTrace, String> {
     let key = args.profile.as_deref().ok_or("--profile is required")?;
     let profile = find_profile(key)?;
-    let len = args.len.unwrap_or(profile.default_len);
-    Ok(profile.build_with_len(args.seed.unwrap_or(0xEC12), len))
+    let len = args.run.len.unwrap_or(profile.default_len);
+    Ok(profile.build_with_len(args.run.seed.unwrap_or(0xEC12), len))
 }
 
 fn config_by_name(name: &str) -> Result<SimConfig, String> {
@@ -279,10 +241,6 @@ fn config_by_name(name: &str) -> Result<SimConfig, String> {
         "large-btb1" => Ok(SimConfig::large_btb1()),
         other => Err(format!("unknown config '{other}' (no-btb2 | btb2 | large-btb1)")),
     }
-}
-
-fn results_dir() -> PathBuf {
-    std::env::var("ZBP_RESULTS_DIR").map_or_else(|_| PathBuf::from("results"), PathBuf::from)
 }
 
 fn cmd_list() {
@@ -425,10 +383,10 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_fuzz(args: &Args) -> Result<(), String> {
-    if let Some(n) = args.workers {
+    if let Some(n) = args.run.workers {
         zbp::sim::parallel::set_worker_cap(Some(n));
     }
-    let seed = args.seed.unwrap_or(0xEC12);
+    let seed = args.run.seed.unwrap_or(0xEC12);
     let cells = args.cells.unwrap_or(100);
     let audit = if cfg!(feature = "audit") { "on" } else { "off" };
     println!("fuzzing {cells} cells from seed {seed:#018x} (structure audit: {audit})");
@@ -490,7 +448,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 
 /// Merges the environment options with command-line overrides.
 fn experiment_opts(args: &Args) -> Result<ExperimentOptions, String> {
-    let mut opts = ExperimentOptions::from_env()?;
+    let mut opts = args.run.resolve()?;
     // --trace replaces the workload set wholesale (including any
     // ZBP_TRACES-derived sources): one external workload row per file.
     if !args.traces.is_empty() {
@@ -500,35 +458,6 @@ fn experiment_opts(args: &Args) -> Result<ExperimentOptions, String> {
             .map(WorkloadSource::ingest)
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| format!("--trace: {e}"))?;
-    }
-    if args.len.is_some() {
-        opts.len = args.len;
-    }
-    if let Some(seed) = args.seed {
-        opts.seed = seed;
-    }
-    if args.workers.is_some() {
-        opts.workers = args.workers;
-    }
-    if args.lanes.is_some() {
-        opts.lanes = args.lanes;
-    }
-    if let Some(dir) = &args.cache_dir {
-        opts.cache_dir = Some(PathBuf::from(dir));
-    }
-    // --trace-store / --fresh-traces override the env-derived store; a
-    // bare --fresh-traces flips an env- (or later default-) rooted
-    // store to write-only.
-    if let Some(dir) = &args.trace_store {
-        opts.trace_store = Arc::new(if args.fresh_traces {
-            TraceStore::write_only(dir)
-        } else {
-            TraceStore::at(dir)
-        });
-    } else if args.fresh_traces {
-        if let Some(dir) = opts.trace_store.dir().map(Path::to_path_buf) {
-            opts.trace_store = Arc::new(TraceStore::write_only(dir));
-        }
     }
     Ok(opts)
 }
@@ -560,18 +489,10 @@ fn cmd_experiment_list() {
 
 fn cmd_experiment_run(args: &Args) -> Result<(), String> {
     let spec = find_spec(args.experiment.as_deref().expect("parser enforces presence"))?;
-    let mut opts = experiment_opts(args)?;
-    let cache_dir = opts.cache_dir.clone().unwrap_or_else(|| results_dir().join("cache"));
+    let opts = experiment_opts(args)?;
+    let cache_dir = opts.cache_dir.clone().expect("RunFlags::resolve roots the cache");
     let cache =
         if args.fresh { CellCache::write_only(cache_dir) } else { CellCache::at(cache_dir) };
-    if !opts.trace_store.is_enabled() {
-        let dir = results_dir().join("traces");
-        opts.trace_store = Arc::new(if args.fresh_traces {
-            TraceStore::write_only(dir)
-        } else {
-            TraceStore::at(dir)
-        });
-    }
     println!("{} ({})\n", spec.title, spec.paper_ref);
     let run = spec.run(&opts, &cache);
     print!("{}", run.pretty);
@@ -645,7 +566,7 @@ fn cmd_experiment_verify(args: &Args) -> Result<(), String> {
     let mut opts = experiment_opts(args)?;
     opts.len = manifest.len_cap;
     opts.seed = manifest.seed;
-    if args.trace_store.is_none() {
+    if args.run.trace_store.is_none() {
         opts.trace_store = Arc::new(TraceStore::disabled());
     }
     let run = spec.run(&opts, &CellCache::disabled());
@@ -732,8 +653,8 @@ mod tests {
         assert_eq!(a.command, "run");
         assert_eq!(a.profile.as_deref(), Some("tpf-airline"));
         assert_eq!(a.config.as_deref(), Some("btb2"));
-        assert_eq!(a.len, Some(5000));
-        assert_eq!(a.seed, Some(42));
+        assert_eq!(a.run.len, Some(5000));
+        assert_eq!(a.run.seed, Some(42));
     }
 
     #[test]
@@ -741,7 +662,7 @@ mod tests {
         let a = parse_args(&argv("experiment run fig4 --len 100")).unwrap();
         assert_eq!(a.subcommand.as_deref(), Some("run"));
         assert_eq!(a.experiment.as_deref(), Some("fig4"));
-        assert_eq!(a.len, Some(100));
+        assert_eq!(a.run.len, Some(100));
         let a = parse_args(&argv("experiment list")).unwrap();
         assert_eq!(a.subcommand.as_deref(), Some("list"));
         assert!(parse_args(&argv("experiment")).is_err());
@@ -774,9 +695,9 @@ mod tests {
     #[test]
     fn lanes_flag_parses_and_rejects_zero() {
         let a = parse_args(&argv("experiment run fig2 --lanes 4")).unwrap();
-        assert_eq!(a.lanes, Some(4));
+        assert_eq!(a.run.lanes, Some(4));
         let a = parse_args(&argv("experiment run fig2")).unwrap();
-        assert_eq!(a.lanes, None);
+        assert_eq!(a.run.lanes, None);
         assert!(parse_args(&argv("experiment run fig2 --lanes 0")).is_err());
         assert!(parse_args(&argv("experiment run fig2 --lanes nope")).is_err());
         assert!(parse_args(&argv("experiment run fig2 --lanes")).is_err());
@@ -786,11 +707,11 @@ mod tests {
     fn trace_store_flags_parse() {
         let a =
             parse_args(&argv("experiment run fig2 --trace-store /tmp/ts --fresh-traces")).unwrap();
-        assert_eq!(a.trace_store.as_deref(), Some("/tmp/ts"));
-        assert!(a.fresh_traces);
+        assert_eq!(a.run.trace_store.as_deref(), Some(std::path::Path::new("/tmp/ts")));
+        assert!(a.run.fresh_traces);
         let a = parse_args(&argv("experiment run fig2")).unwrap();
-        assert_eq!(a.trace_store, None);
-        assert!(!a.fresh_traces);
+        assert_eq!(a.run.trace_store, None);
+        assert!(!a.run.fresh_traces);
         assert!(parse_args(&argv("experiment run fig2 --trace-store")).is_err());
     }
 
@@ -828,14 +749,14 @@ mod tests {
     #[test]
     fn seed_accepts_hex() {
         let a = parse_args(&argv("run --seed 0xEC12")).unwrap();
-        assert_eq!(a.seed, Some(0xEC12));
+        assert_eq!(a.run.seed, Some(0xEC12));
     }
 
     #[test]
     fn fuzz_takes_seed_and_cells() {
         let a = parse_args(&argv("fuzz --seed 0x2b --cells 7")).unwrap();
         assert_eq!(a.command, "fuzz");
-        assert_eq!(a.seed, Some(0x2b));
+        assert_eq!(a.run.seed, Some(0x2b));
         assert_eq!(a.cells, Some(7));
         let a = parse_args(&argv("fuzz")).unwrap();
         assert_eq!(a.cells, None, "cell count defaults at dispatch, not parse");

@@ -12,13 +12,10 @@
 //! active requests run to completion, queued cells finish and land in
 //! the cache, and only then does the process exit.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use zbp::serve::{ServeState, Server};
-use zbp::sim::experiments::{parse_seed, ExperimentOptions};
-use zbp::trace::TraceStore;
+use zbp::sim::experiments::{parse_count, RunFlags};
 
 const USAGE: &str = "zbp-serve — simulation-serving daemon over the experiment cell cache
 
@@ -37,6 +34,7 @@ OPTIONS:
     --cache-dir <DIR>             cell-cache directory (default: results/cache)
     --trace-store <DIR>           compact-trace store directory (default:
                                   results/traces)
+    --fresh-traces                regenerate every trace, refreshing the store
 
 ENDPOINTS:
     GET  /                        daemon info
@@ -49,8 +47,8 @@ ENDPOINTS:
                                   NDJSON progress events, then the artifact
 
 Environment: ZBP_TRACE_LEN, ZBP_SEED, ZBP_WORKERS, ZBP_LANES,
-ZBP_CACHE_DIR, ZBP_TRACE_STORE and ZBP_RESULTS_DIR are read first;
-command-line flags override them.
+ZBP_CACHE_DIR, ZBP_TRACE_STORE, ZBP_FRESH_TRACES and ZBP_RESULTS_DIR
+are read first; command-line flags override them.
 ";
 
 /// Set by the signal handler; polled by the accept loop.
@@ -81,56 +79,24 @@ fn install_signal_handlers() {}
 
 struct Args {
     addr: String,
-    len: Option<u64>,
-    seed: Option<u64>,
-    workers: Option<usize>,
     pool: usize,
-    lanes: Option<usize>,
-    cache_dir: Option<String>,
-    trace_store: Option<String>,
+    run: RunFlags,
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        addr: "127.0.0.1:7878".to_string(),
-        len: None,
-        seed: None,
-        workers: None,
-        pool: 4,
-        lanes: None,
-        cache_dir: None,
-        trace_store: None,
-    };
+    let mut args = Args { addr: "127.0.0.1:7878".to_string(), pool: 4, run: RunFlags::default() };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = || it.next().ok_or(format!("{arg} requires a value"));
+        if args.run.take(&arg, &mut value)? {
+            continue;
+        }
         match arg.as_str() {
             "--addr" => args.addr = value()?,
-            "--len" => {
-                let v = value()?;
-                args.len =
-                    Some(v.parse().map_err(|e| format!("--len {v:?} is not a length: {e}"))?);
-            }
-            "--seed" => args.seed = Some(parse_seed(&value()?)?),
-            "--workers" => {
-                let v = value()?;
-                args.workers =
-                    Some(v.parse().map_err(|e| format!("--workers {v:?} is not a count: {e}"))?);
-            }
             "--pool" => {
                 let v = value()?;
-                args.pool = v.parse().map_err(|e| format!("--pool {v:?} is not a count: {e}"))?;
-                if args.pool == 0 {
-                    return Err("--pool must be at least 1".into());
-                }
+                args.pool = parse_count(&v).map_err(|e| format!("--pool {v:?}: {e}"))?;
             }
-            "--lanes" => {
-                let v = value()?;
-                args.lanes =
-                    Some(v.parse().map_err(|e| format!("--lanes {v:?} is not a count: {e}"))?);
-            }
-            "--cache-dir" => args.cache_dir = Some(value()?),
-            "--trace-store" => args.trace_store = Some(value()?),
             "--help" | "-h" | "help" => {
                 print!("{USAGE}");
                 std::process::exit(0);
@@ -141,43 +107,15 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn results_dir() -> PathBuf {
-    std::env::var("ZBP_RESULTS_DIR").map_or_else(|_| PathBuf::from("results"), PathBuf::from)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let (args, opts) = match parse_args().and_then(|a| a.run.resolve().map(|o| (a, o))) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut opts = match ExperimentOptions::from_env() {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if args.len.is_some() {
-        opts.len = args.len;
-    }
-    if let Some(seed) = args.seed {
-        opts.seed = seed;
-    }
-    if args.workers.is_some() {
-        opts.workers = args.workers;
-    }
-    if args.lanes.is_some() {
-        opts.lanes = args.lanes;
-    }
-    let cache_dir = args.cache_dir.map_or_else(|| results_dir().join("cache"), PathBuf::from);
-    if !opts.trace_store.is_enabled() {
-        let store_dir =
-            args.trace_store.map_or_else(|| results_dir().join("traces"), PathBuf::from);
-        opts.trace_store = Arc::new(TraceStore::at(store_dir));
-    }
+    let cache_dir = opts.cache_dir.clone().expect("RunFlags::resolve roots the cache");
 
     install_signal_handlers();
     let state = ServeState::new(opts, &cache_dir, args.pool);

@@ -3,7 +3,7 @@
 //!
 //! These use an engineered profile whose working set rotates fast enough
 //! for the capacity regime to establish within a debug-friendly trace
-//! length (the full-length runs live in `cargo bench`).
+//! length (the full-length runs live in `zbp-cli experiment run`).
 
 use zbp::prelude::*;
 use zbp::trace::gen::layout::LayoutParams;
