@@ -190,21 +190,24 @@ impl<'a> NdjsonStream<'a> {
         self.started
     }
 
-    /// Writes one event line and flushes it.
+    /// Writes one event line — and, before the first, the response
+    /// head — in a single write, then flushes it.
     ///
     /// # Errors
     ///
     /// On I/O errors (e.g. the client hung up — the caller treats that
     /// as cancellation).
     pub fn emit(&mut self, event: &Json) -> io::Result<()> {
+        let mut line = event.render();
+        line.push('\n');
         if !self.started {
             self.started = true;
-            self.stream.write_all(
-                b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
-            )?;
+            line.insert_str(
+                0,
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n",
+            );
         }
-        self.stream.write_all(event.render().as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        self.stream.write_all(line.as_bytes())?;
         self.stream.flush()
     }
 }

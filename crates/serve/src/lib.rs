@@ -8,9 +8,9 @@
 //! advisory claim files), or a bounded worker pool that computes cold
 //! cells with the same lane-batched, trace-store-warm replay path the
 //! CLI uses. Progress streams back as NDJSON events with per-cell
-//! provenance; the final artifact is produced by the registry's own run
-//! path over the warm cache, so a daemon response is bit-identical to a
-//! `zbp-cli experiment run` of the same request.
+//! provenance; the final artifact is assembled by the same registry
+//! finish step a CLI run ends with, so a daemon response is
+//! bit-identical to a `zbp-cli experiment run` of the same request.
 //!
 //! ```text
 //! zbp-serve --addr 127.0.0.1:7878 --cache-dir results/cache

@@ -10,10 +10,11 @@
 //! as NDJSON events (`plan`, `queued`, `running`, `done`, `error`,
 //! `result`), each `done` carrying the cell's provenance.
 //!
-//! The final artifact is produced by calling the registry's own
-//! [`ExperimentSpec::run`] over the now-warm cache — the exact code
-//! path `zbp-cli experiment run` uses — so a daemon response is
-//! bit-identical to a CLI run by construction, not by reimplementation.
+//! Each cell is read and decoded once, when it is served, and the
+//! final artifact is assembled from those results by the registry's own
+//! [`ExperimentSpec::finish_grid`] — the step `zbp-cli experiment run`
+//! ends with — so a daemon response is bit-identical to a CLI run by
+//! construction, not by reimplementation.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -22,8 +23,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use zbp_sim::cache::CellCache;
 use zbp_sim::experiments::ExperimentOptions;
-use zbp_sim::registry::{self, ExperimentSpec};
-use zbp_sim::session::SessionCell;
+use zbp_sim::registry::{self, ExperimentSpec, RunStart};
+use zbp_sim::session::{load_cell, SessionCell};
 use zbp_support::json::Json;
 
 use crate::executor::{provenance, Admission, Executor, Job, JobCell, SlotView};
@@ -36,6 +37,14 @@ pub const DEFAULT_RUN_TIMEOUT: Duration = Duration::from_secs(600);
 
 /// Per-connection socket read timeout (header + body arrival).
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Longest the accept loop waits for a connection before it looks at
+/// the shutdown flag again.
+const ACCEPT_WAIT: Duration = Duration::from_millis(20);
+
+/// Back-off after a failed `accept` (e.g. EMFILE), which would
+/// otherwise fail again at once.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
 /// A parsed `/run` request body.
 #[derive(Debug, Clone)]
@@ -148,6 +157,11 @@ impl Server {
     /// stops accepting, waits for every active connection to finish,
     /// and joins the worker pool (which completes all queued cells
     /// first). Returns only when the drain is complete.
+    ///
+    /// Between connections the loop blocks until the listener is
+    /// readable, for at most [`ACCEPT_WAIT`], so a connection is
+    /// accepted as soon as it arrives and the flag is still seen within
+    /// that bound when no traffic comes.
     pub fn run(&self, shutdown: &AtomicBool) {
         self.listener.set_nonblocking(true).expect("nonblocking listener");
         while !shutdown.load(Ordering::SeqCst) {
@@ -162,9 +176,9 @@ impl Server {
                     });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
+                    wait_readable(&self.listener, ACCEPT_WAIT);
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         }
         // Drain: connections first (they may still enqueue work), then
@@ -176,8 +190,52 @@ impl Server {
     }
 }
 
+/// Blocks until `listener` has a connection to accept or `timeout`
+/// passes, through `poll(2)`. The workspace is dependency-free, so the
+/// call is declared here rather than taken from a libc crate. A signal
+/// interrupts the wait early, which only makes the caller look at its
+/// shutdown flag sooner.
+#[cfg(unix)]
+fn wait_readable(listener: &TcpListener, timeout: Duration) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: std::ffi::c_int,
+        events: std::ffi::c_short,
+        revents: std::ffi::c_short,
+    }
+    #[cfg(target_os = "linux")]
+    type NfdsT = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NfdsT = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: std::ffi::c_int) -> std::ffi::c_int;
+    }
+    const POLLIN: std::ffi::c_short = 0x1;
+    let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    let millis = std::ffi::c_int::try_from(timeout.as_millis()).unwrap_or(std::ffi::c_int::MAX);
+    // SAFETY: `fd` is one valid, exclusively borrowed pollfd and nfds
+    // is 1; poll(2) writes only its `revents`. The result is ignored:
+    // ready, timed out or interrupted, the caller retries `accept`.
+    unsafe {
+        poll(&mut fd, 1, millis);
+    }
+}
+
+/// Without `poll(2)`, waits out the whole timeout.
+#[cfg(not(unix))]
+fn wait_readable(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
+}
+
 fn handle_connection(state: &Arc<ServeState>, mut stream: TcpStream) {
+    // Some platforms hand out accepted sockets with the listener's
+    // non-blocking mode; this connection thread wants blocking I/O.
+    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+    // Every NDJSON event is one write that the client should see at
+    // once, so Nagle's coalescing only delays it.
+    let _ = stream.set_nodelay(true);
     let request = match read_request(&mut stream) {
         Ok(r) => r,
         Err(e) => {
@@ -360,6 +418,7 @@ pub fn run_streaming(
     if let Some(seed) = run.seed {
         opts.seed = seed;
     }
+    let start = RunStart::now(&opts);
     let timeout = run.timeout_ms.map_or(DEFAULT_RUN_TIMEOUT, Duration::from_millis);
     let deadline = Instant::now() + timeout;
 
@@ -373,7 +432,7 @@ pub fn run_streaming(
             ("mode".into(), Json::Str("whole".into())),
         ]))?;
         let result = spec.run(&opts, &state.cache);
-        emit(&result_event(&result.artifact(), 0, 0, 0, 0, 0))?;
+        emit(&result_event(result.artifact(), 0, 0, 0, 0, 0))?;
         return Ok(());
     };
     let session = Arc::new(session);
@@ -387,8 +446,9 @@ pub fn run_streaming(
     ]))?;
     state.metrics.cells_requested.fetch_add(cells.len() as u64, Ordering::Relaxed);
 
-    // Phase 1: serve warm cells immediately; admit cold ones (owner or
-    // join) and group owned cells into per-row lane-batched jobs.
+    // Phase 1: serve warm cells immediately, keeping each decoded
+    // result; admit cold ones (owner or join) and group owned cells
+    // into per-row lane-batched jobs.
     //
     // An owned cell's inflight entry is only ever removed by the worker
     // that resolves its slot, so every cell admitted as Owner MUST be
@@ -396,13 +456,15 @@ pub fn run_streaming(
     // loop but still flushes the jobs accumulated so far, otherwise the
     // admitted keys would wedge in the dedup table until restart.
     let mut hits = 0u64;
+    let mut cores = vec![None; cells.len()];
     let mut pending: Vec<(usize, Arc<crate::executor::CellSlot>, bool, Instant)> = Vec::new();
     let mut row_jobs: std::collections::BTreeMap<usize, Vec<JobCell>> =
         std::collections::BTreeMap::new();
     let mut hangup: Option<std::io::Error> = None;
     for (idx, cell) in cells.iter().enumerate() {
         let t0 = Instant::now();
-        let event = if state.cache.load(&cell.key).is_some() {
+        let event = if let Some(core) = load_cell(&state.cache, &cell.key) {
+            cores[idx] = Some(core);
             hits += 1;
             state.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
             state.metrics.observe_warm(t0.elapsed());
@@ -443,9 +505,10 @@ pub fn run_streaming(
     }
 
     // Phase 2: wait out the pending slots in grid order, streaming each
-    // transition. A timeout abandons the *wait*, never the computation:
-    // enqueued cells complete in the background and every store is
-    // atomic, so the cache cannot hold a partial entry.
+    // transition and reading each resolved cell once. A timeout
+    // abandons the *wait*, never the computation: enqueued cells
+    // complete in the background and every store is atomic, so the
+    // cache cannot hold a partial entry.
     let mut computed = 0u64;
     let mut dedup = 0u64;
     let mut claim_wait = 0u64;
@@ -483,6 +546,7 @@ pub fn run_streaming(
                         provenance::CLAIM_WAIT => claim_wait += 1,
                         _ => hits += 1,
                     }
+                    cores[idx] = Some(session.cached_cell(&state.cache, cell));
                     emit(&cell_event("done", cell, &[("provenance", Json::Str(label.into()))]))?;
                     break;
                 }
@@ -505,11 +569,13 @@ pub fn run_streaming(
         return Err(RunError::Request(msg));
     }
 
-    // Phase 3: assemble the artifact through the registry's own run
-    // path over the now-warm cache — the exact code `zbp-cli experiment
-    // run` executes, so the response is bit-identical to a CLI run.
-    let result = spec.run(&opts, &state.cache);
-    emit(&result_event(&result.artifact(), cells.len() as u64, hits, computed, dedup, claim_wait))?;
+    // Phase 3: assemble the artifact from the results read above
+    // through the registry's own finish step — the one `zbp-cli
+    // experiment run` ends with, so the response is bit-identical to a
+    // CLI run.
+    let cores = cores.into_iter().map(|core| core.expect("every cell resolved")).collect();
+    let result = spec.finish_grid(&opts, start, &session, cores, hits);
+    emit(&result_event(result.artifact(), cells.len() as u64, hits, computed, dedup, claim_wait))?;
     Ok(())
 }
 
@@ -531,7 +597,7 @@ fn timeout_error(
 }
 
 fn result_event(
-    artifact: &Json,
+    artifact: Json,
     cells: u64,
     hits: u64,
     computed: u64,
@@ -550,6 +616,6 @@ fn result_event(
                 ("claim_wait".into(), Json::Num(claim_wait as f64)),
             ]),
         ),
-        ("artifact".into(), artifact.clone()),
+        ("artifact".into(), artifact),
     ])
 }

@@ -1,18 +1,19 @@
 //! End-to-end daemon tests over real sockets: cold/warm serving,
 //! bit-identity with the CLI run path, concurrent dedup, graceful
-//! drain, timeouts and error routing.
+//! drain, idle accept latency, timeouts and error routing.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use zbp_serve::{ServeState, Server};
 use zbp_sim::cache::CellCache;
 use zbp_sim::experiments::ExperimentOptions;
 use zbp_sim::registry::{self, strip_volatile};
 use zbp_support::json::Json;
+use zbp_trace::TraceStore;
 
 struct TestServer {
     addr: SocketAddr,
@@ -22,9 +23,13 @@ struct TestServer {
 }
 
 fn boot(tag: &str, len: u64) -> TestServer {
+    boot_with(tag, ExperimentOptions::quick(len, 7))
+}
+
+fn boot_with(tag: &str, opts: ExperimentOptions) -> TestServer {
     let dir = std::env::temp_dir().join(format!("zbp-serve-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let state = ServeState::new(ExperimentOptions::quick(len, 7), dir.join("cache"), 2);
+    let state = ServeState::new(opts, dir.join("cache"), 2);
     let server = Server::bind("127.0.0.1:0", state).expect("bind");
     let addr = server.local_addr().expect("addr");
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -83,43 +88,97 @@ fn served_count(result: &Json, field: &str) -> f64 {
 
 #[test]
 fn cold_then_warm_grid_run_is_bit_identical_to_the_cli_path() {
-    let server = boot("coldwarm", 2_000);
-    let (status, body) = http(server.addr, "POST", "/run", r#"{"experiment":"fig4"}"#);
-    assert_eq!(status, 200);
-    let cold = events(&body);
-    let cold_result = result_event(&cold);
-    let cells = served_count(cold_result, "cells");
-    assert!(cells > 0.0);
-    // A cold daemon computes every cell itself (no concurrent claimants
-    // in this test).
-    assert_eq!(served_count(cold_result, "computed"), cells);
-    assert_eq!(served_count(cold_result, "cache_hits"), 0.0);
+    // Every grid experiment, so the artifact assembly runs through each
+    // registered post-processing step. The daemon and the CLI-path runs
+    // share one trace store, which changes where captures come from,
+    // never results.
+    let dir = std::env::temp_dir().join(format!("zbp-serve-e2e-grids-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut opts = ExperimentOptions::quick(2_000, 7);
+    opts.trace_store = Arc::new(TraceStore::at(dir.join("traces")));
+    let server = boot_with("coldwarm", opts.clone());
+    let grids: Vec<_> =
+        registry::all().iter().filter(|spec| spec.grid_session(&opts).is_some()).collect();
+    assert!(grids.len() > 10, "most experiments are grids");
+    for (i, spec) in grids.into_iter().enumerate() {
+        let id = spec.id;
+        let request = format!(r#"{{"experiment":"{id}"}}"#);
+        let (status, body) = http(server.addr, "POST", "/run", &request);
+        assert_eq!(status, 200, "{id}");
+        let cold = events(&body);
+        let cold_result = result_event(&cold);
+        let cells = served_count(cold_result, "cells");
+        assert!(cells > 0.0, "{id}");
+        // The first request meets an empty cache and no concurrent
+        // claimants, so the pool computes every cell. Grids share
+        // columns, so a later cold request may find some cells cached.
+        let computed = served_count(cold_result, "computed");
+        if i == 0 {
+            assert_eq!(computed, cells, "{id}: a cold daemon computes every cell");
+        }
+        let hits = served_count(cold_result, "cache_hits");
+        assert_eq!(computed + hits, cells, "{id}: every cold cell computed or cache-served");
 
-    // The warm repeat must recompute nothing.
-    let (status, body) = http(server.addr, "POST", "/run", r#"{"experiment":"fig4"}"#);
-    assert_eq!(status, 200);
-    let warm = events(&body);
-    let warm_result = result_event(&warm);
-    assert_eq!(served_count(warm_result, "cache_hits"), cells);
-    assert_eq!(served_count(warm_result, "computed"), 0.0);
-    assert_eq!(served_count(warm_result, "dedup"), 0.0);
-    // Every per-cell done event carries cache-hit provenance.
-    let dones: Vec<_> =
-        warm.iter().filter(|e| e.get("event") == Some(&Json::Str("done".into()))).collect();
-    assert_eq!(dones.len() as f64, cells);
-    assert!(dones.iter().all(|e| e.get("provenance") == Some(&Json::Str("cache-hit".into()))));
+        // The warm repeat must recompute nothing.
+        let (status, body) = http(server.addr, "POST", "/run", &request);
+        assert_eq!(status, 200, "{id}");
+        let warm = events(&body);
+        let warm_result = result_event(&warm);
+        assert_eq!(served_count(warm_result, "cache_hits"), cells, "{id}");
+        assert_eq!(served_count(warm_result, "computed"), 0.0, "{id}");
+        assert_eq!(served_count(warm_result, "dedup"), 0.0, "{id}");
+        // Every per-cell done event carries cache-hit provenance.
+        let dones: Vec<_> =
+            warm.iter().filter(|e| e.get("event") == Some(&Json::Str("done".into()))).collect();
+        assert_eq!(dones.len() as f64, cells, "{id}");
+        assert!(dones.iter().all(|e| e.get("provenance") == Some(&Json::Str("cache-hit".into()))));
 
-    // Bit-identity with the CLI path: the same experiment run fresh,
-    // without the daemon's cache, renders the same artifact modulo the
-    // volatile manifest fields.
-    let spec = registry::find("fig4").expect("fig4 registered");
-    let expected = spec.run(&ExperimentOptions::quick(2_000, 7), &CellCache::disabled());
-    let expected = strip_volatile(&expected.artifact()).render();
-    let cold_artifact = strip_volatile(cold_result.get("artifact").expect("artifact")).render();
-    let warm_artifact = strip_volatile(warm_result.get("artifact").expect("artifact")).render();
-    assert_eq!(cold_artifact, expected);
-    assert_eq!(warm_artifact, expected);
+        // Bit-identity with the CLI path: the same experiment run
+        // without the daemon's cache renders the same artifact modulo
+        // the volatile manifest fields.
+        let expected = strip_volatile(&spec.run(&opts, &CellCache::disabled()).artifact()).render();
+        let cold_artifact = strip_volatile(cold_result.get("artifact").expect("artifact")).render();
+        let warm_artifact = strip_volatile(warm_result.get("artifact").expect("artifact")).render();
+        assert_eq!(cold_artifact, expected, "{id}: cold response differs from the CLI path");
+        assert_eq!(warm_artifact, expected, "{id}: warm response differs from the CLI path");
+    }
     server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_idle_daemon_answers_a_connection_promptly() {
+    // The accept loop waits for the listener to become readable rather
+    // than sleeping a fixed period, so a request arriving after an idle
+    // spell is not held until the next wake-up.
+    let server = boot("idle", 2_000);
+    let mut waits: Vec<Duration> = (0..20)
+        .map(|_| {
+            std::thread::sleep(Duration::from_millis(25));
+            let t0 = Instant::now();
+            let mut stream = TcpStream::connect(server.addr).expect("connect");
+            stream.write_all(b"GET / HTTP/1.1\r\nHost: test\r\n\r\n").expect("send");
+            let mut status = String::new();
+            BufReader::new(stream).read_line(&mut status).expect("status line");
+            assert!(status.starts_with("HTTP/1.1 200"), "{status:?}");
+            t0.elapsed()
+        })
+        .collect();
+    waits.sort();
+    let median = waits[waits.len() / 2];
+    assert!(median < Duration::from_millis(5), "median connect-to-status {median:?}: {waits:?}");
+    server.stop();
+}
+
+#[test]
+fn an_idle_daemon_sees_shutdown_within_a_second() {
+    let server = boot("idle-stop", 2_000);
+    // Let the accept loop settle into its wait with no traffic at all.
+    std::thread::sleep(Duration::from_millis(50));
+    let t0 = Instant::now();
+    server.stop();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "drain of an idle daemon took {took:?}");
 }
 
 #[test]

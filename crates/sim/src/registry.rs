@@ -27,11 +27,13 @@ use crate::report::{mean, render_csv, render_table};
 use crate::session::{CacheStats, SessionGrid, SimSession};
 use crate::simpoint::{self, SimPointSpec};
 use crate::sweep::{points_from_grid, sweep_configs};
+use std::sync::OnceLock;
 use std::time::{Instant, SystemTime};
 use zbp_support::json::{FromJson, Json, ToJson};
 use zbp_trace::profile::WorkloadProfile;
 use zbp_trace::source::WorkloadSource;
-use zbp_trace::TraceStats;
+use zbp_trace::{TraceStats, TraceStoreStats};
+use zbp_uarch::core::CoreResult;
 
 /// Version stamped into artifact manifests. Bumped to 2 when the
 /// `workload_sources` provenance field landed (the workload-source
@@ -97,7 +99,8 @@ pub struct Manifest {
     pub len_cap: Option<u64>,
     /// Effective dynamic length per workload.
     pub trace_lens: Vec<(String, u64)>,
-    /// `git rev-parse HEAD` at run time (`unknown` outside a checkout).
+    /// `git rev-parse HEAD` of the running code, resolved once per
+    /// process (`unknown` outside a checkout).
     pub git_revision: String,
     /// Wall time of the run, milliseconds.
     pub wall_time_ms: u64,
@@ -194,6 +197,23 @@ pub fn strip_volatile(artifact: &Json) -> Json {
     )
 }
 
+/// When a run started: the origin of its manifest's wall time and
+/// trace-store counters.
+#[derive(Debug, Clone, Copy)]
+pub struct RunStart {
+    at: Instant,
+    store: TraceStoreStats,
+}
+
+impl RunStart {
+    /// Starts the clock now. The store's counters are cumulative across
+    /// the process (the options may be reused), so the manifest
+    /// attributes only the delta since this snapshot.
+    pub fn now(opts: &ExperimentOptions) -> Self {
+        Self { at: Instant::now(), store: opts.trace_store.stats() }
+    }
+}
+
 impl ExperimentSpec {
     /// Runs the experiment through `cache` and stamps a manifest.
     ///
@@ -203,48 +223,75 @@ impl ExperimentSpec {
     /// [`CellCache::write_only`] for `--fresh` semantics.
     pub fn run(&self, opts: &ExperimentOptions, cache: &CellCache) -> ExperimentRun {
         crate::parallel::set_worker_cap(opts.workers);
-        let t0 = Instant::now();
-        // The store's counters are cumulative across the process (the
-        // options may be reused); attribute only this run's delta.
-        let store_before = opts.trace_store.stats();
+        let start = RunStart::now(opts);
         let sources = self.sources(opts);
-        let trace_lens: Vec<(String, u64)> =
-            sources.iter().map(|s| (s.name().to_string(), opts.len_for_source(s))).collect();
         let (rendered, stats) = match &self.kind {
             Kind::Stats(post) => {
                 let (all, stats) = collect_stats_cached(&sources, opts, cache);
                 (post(&sources, &all), stats)
             }
-            Kind::Grid { configs, post } => {
-                let (grid, stats) = SimSession::from_options(opts)
-                    .workloads(sources.clone())
-                    .configs(configs())
-                    .run_cached(cache);
-                (post(&grid), stats)
+            Kind::Grid { configs, .. } => {
+                let session = SimSession::from_options(opts).workloads(sources).configs(configs());
+                let (cores, stats) = session.run_cached_cells(cache);
+                return self.finish_grid(opts, start, &session, cores, stats.hits);
             }
             Kind::Custom(run) => run(&sources, opts, cache),
         };
+        self.stamp(opts, start, &sources, rendered, stats)
+    }
+
+    /// The step every grid run ends with: assembles the grid from one
+    /// [`CoreResult`] per cell (row-major in [`SimSession::cells`]
+    /// order), post-processes it and stamps the manifest. Both
+    /// [`Self::run`] and `zbp-serve` finish through it, so a served
+    /// artifact is the CLI's by construction. `session` is the spec's
+    /// [`Self::grid_session`] over `opts`; `cache_hits` the cells read
+    /// from the cache. Panics on a non-grid spec.
+    pub fn finish_grid(
+        &self,
+        opts: &ExperimentOptions,
+        start: RunStart,
+        session: &SimSession,
+        cores: Vec<CoreResult>,
+        cache_hits: u64,
+    ) -> ExperimentRun {
+        let Kind::Grid { post, .. } = &self.kind else {
+            panic!("{} is not a grid experiment", self.id)
+        };
+        let stats =
+            CacheStats { cells: cores.len() as u64, hits: cache_hits, ..Default::default() };
+        let rendered = post(&session.grid(cores));
+        self.stamp(opts, start, &self.sources(opts), rendered, stats)
+    }
+
+    fn stamp(
+        &self,
+        opts: &ExperimentOptions,
+        start: RunStart,
+        sources: &[WorkloadSource],
+        rendered: Rendered,
+        stats: CacheStats,
+    ) -> ExperimentRun {
+        let store =
+            opts.trace_store.is_enabled().then(|| opts.trace_store.stats().since(start.store));
         let manifest = Manifest {
             experiment: self.id.to_string(),
             schema_version: MANIFEST_SCHEMA_VERSION,
             seed: opts.seed,
             len_cap: opts.len,
-            trace_lens,
+            trace_lens: sources
+                .iter()
+                .map(|s| (s.name().to_string(), opts.len_for_source(s)))
+                .collect(),
             git_revision: git_revision(),
-            wall_time_ms: t0.elapsed().as_millis() as u64,
+            wall_time_ms: start.at.elapsed().as_millis() as u64,
             generated_unix: SystemTime::now()
                 .duration_since(SystemTime::UNIX_EPOCH)
                 .map_or(0, |d| d.as_secs()),
             cells: stats.cells,
             cache_hits: stats.hits,
-            trace_store_hits: opts
-                .trace_store
-                .is_enabled()
-                .then(|| opts.trace_store.stats().since(store_before).hits),
-            trace_store_misses: opts
-                .trace_store
-                .is_enabled()
-                .then(|| opts.trace_store.stats().since(store_before).misses),
+            trace_store_hits: store.map(|s| s.hits),
+            trace_store_misses: store.map(|s| s.misses),
             workload_sources: Some(sources.iter().map(WorkloadSource::describe).collect()),
         };
         ExperimentRun { manifest, data: rendered.data, pretty: rendered.pretty, csv: rendered.csv }
@@ -303,18 +350,26 @@ fn roundtrip_stats(entry: &Json) -> Option<TraceStats> {
     TraceStats::from_json(&Json::parse(&entry.render()).ok()?).ok()
 }
 
-/// Best-effort `git rev-parse HEAD` for provenance manifests; returns
-/// `"unknown"` outside a git checkout.
+/// Best-effort `git rev-parse HEAD` for provenance manifests;
+/// `"unknown"` outside a git checkout. Resolved once per process: a
+/// manifest's revision is the code that is running, which does not
+/// change after start-up, and `zbp-serve` would otherwise spawn `git`
+/// for every artifact it assembles.
 pub fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static REVISION: OnceLock<String> = OnceLock::new();
+    REVISION
+        .get_or_init(|| {
+            std::process::Command::new("git")
+                .args(["rev-parse", "HEAD"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_string())
+        })
+        .clone()
 }
 
 // ---------------------------------------------------------------------------

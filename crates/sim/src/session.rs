@@ -205,19 +205,9 @@ impl SimSession {
     pub fn run(&self) -> SessionGrid {
         let pool = CapturePool::default();
         let all: Vec<usize> = (0..self.configs.len()).collect();
-        let per_workload: Vec<Vec<SimResult>> = par_map(&self.workloads, |s| {
-            let len = self.effective_len(s);
-            self.replay_row(s, len, &all, &pool)
-                .into_iter()
-                .zip(&self.configs)
-                .map(|(core, c)| SimResult { config_name: c.name.clone(), core })
-                .collect()
-        });
-        SessionGrid {
-            workloads: self.workloads.iter().map(|s| s.name().to_string()).collect(),
-            configs: self.configs.iter().map(|c| c.name.clone()).collect(),
-            results: per_workload.into_iter().flatten().collect(),
-        }
+        let per_workload: Vec<Vec<CoreResult>> =
+            par_map(&self.workloads, |s| self.replay_row(s, self.effective_len(s), &all, &pool));
+        self.grid(per_workload.into_iter().flatten().collect())
     }
 
     /// Replays one workload row across the configuration columns in
@@ -354,11 +344,12 @@ impl SimSession {
     /// of a workload row are simulated (against one shared capture, as
     /// in the uncached path) and stored.
     ///
-    /// Every cell — hit or freshly computed — is round-tripped through
-    /// its rendered JSON form before entering the grid, so a resumed run
-    /// is bit-identical to a fresh one: both paths read the result out
-    /// of the exact bytes a cache file holds. ([`CoreResult`] is all
-    /// integers and strings, so the round-trip is lossless.)
+    /// Every cell — hit or freshly computed — enters the grid in the
+    /// form its rendered JSON bytes decode to, so a resumed run is
+    /// bit-identical to a fresh one: a hit is decoded straight from the
+    /// cache file's text, and a computed cell is round-tripped through
+    /// the bytes it is stored as. ([`CoreResult`] is all integers and
+    /// strings, so the round-trip is lossless.)
     ///
     /// Cache keys deliberately exclude the configuration's display name:
     /// a sweep variant and a Table-3 column with identical predictor +
@@ -373,6 +364,13 @@ impl SimSession {
     /// dies without publishing. Either way the cell's bytes are
     /// identical, so claims shift work, never results.
     pub fn run_cached(&self, cache: &CellCache) -> (SessionGrid, CacheStats) {
+        let (cores, stats) = self.run_cached_cells(cache);
+        (self.grid(cores), stats)
+    }
+
+    /// [`Self::run_cached`] before the grid is assembled: one
+    /// [`CoreResult`] per cell, row-major in [`Self::cells`] order.
+    pub fn run_cached_cells(&self, cache: &CellCache) -> (Vec<CoreResult>, CacheStats) {
         let hits = AtomicU64::new(0);
         let claims_won = AtomicU64::new(0);
         let claims_lost = AtomicU64::new(0);
@@ -383,7 +381,7 @@ impl SimSession {
             .iter()
             .map(|c| (json::to_string(&c.predictor), json::to_string(&c.uarch)))
             .collect();
-        let per_workload: Vec<Vec<SimResult>> = par_map(&self.workloads, |s| {
+        let per_workload: Vec<Vec<CoreResult>> = par_map(&self.workloads, |s| {
             let len = self.effective_len(s);
             let source_json = s.key_json();
             let keys: Vec<CellKey> = config_jsons
@@ -391,7 +389,7 @@ impl SimSession {
                 .map(|(pred, uarch)| CellKey::sim(&source_json, self.seed, len, pred, uarch))
                 .collect();
             let mut cores: Vec<Option<CoreResult>> =
-                keys.iter().map(|k| cache.load(k).and_then(|j| roundtrip(&j))).collect();
+                keys.iter().map(|k| load_cell(cache, k)).collect();
             hits.fetch_add(cores.iter().flatten().count() as u64, Ordering::Relaxed);
             let missing: Vec<usize> = (0..cores.len()).filter(|&i| cores[i].is_none()).collect();
             if !missing.is_empty() {
@@ -412,9 +410,7 @@ impl SimSession {
                 if !mine.is_empty() {
                     let computed = self.replay_row(s, len, &mine, &pool);
                     for (&i, core) in mine.iter().zip(computed) {
-                        let entry = core.to_json();
-                        cache.store(&keys[i], &entry);
-                        cores[i] = Some(roundtrip(&entry).expect("CoreResult JSON round-trips"));
+                        cores[i] = Some(store_computed(cache, &keys[i], &core));
                     }
                 }
                 // Claims release only after every result is stored, so
@@ -423,7 +419,7 @@ impl SimSession {
                 drop(guards);
                 let orphaned: Vec<usize> = theirs
                     .into_iter()
-                    .filter(|&i| match cache.wait_for(&keys[i]).and_then(|j| roundtrip(&j)) {
+                    .filter(|&i| match cache.wait_for(&keys[i]).and_then(|j| decode(&j)) {
                         Some(core) => {
                             dedup_served.fetch_add(1, Ordering::Relaxed);
                             cores[i] = Some(core);
@@ -435,29 +431,15 @@ impl SimSession {
                 if !orphaned.is_empty() {
                     let computed = self.replay_row(s, len, &orphaned, &pool);
                     for (&i, core) in orphaned.iter().zip(computed) {
-                        let entry = core.to_json();
-                        cache.store(&keys[i], &entry);
-                        cores[i] = Some(roundtrip(&entry).expect("CoreResult JSON round-trips"));
+                        cores[i] = Some(store_computed(cache, &keys[i], &core));
                     }
                 }
             }
-            cores
-                .into_iter()
-                .zip(&self.configs)
-                .map(|(core, c)| SimResult {
-                    config_name: c.name.clone(),
-                    core: core.expect("every cell filled"),
-                })
-                .collect()
+            cores.into_iter().map(|core| core.expect("every cell filled")).collect()
         });
-        let grid = SessionGrid {
-            workloads: self.workloads.iter().map(|s| s.name().to_string()).collect(),
-            configs: self.configs.iter().map(|c| c.name.clone()).collect(),
-            results: per_workload.into_iter().flatten().collect(),
-        };
         let cells = (self.workloads.len() * self.configs.len()) as u64;
         (
-            grid,
+            per_workload.into_iter().flatten().collect(),
             CacheStats {
                 cells,
                 hits: hits.into_inner(),
@@ -466,6 +448,34 @@ impl SimSession {
                 dedup_served: dedup_served.into_inner(),
             },
         )
+    }
+
+    /// One cell's result as [`Self::run_cached`] would read it: decoded
+    /// from its cache entry, or — when the entry is absent or
+    /// unreadable — computed alone, stored, and round-tripped. The
+    /// per-cell read `zbp-serve` performs once a cell has resolved.
+    pub fn cached_cell(&self, cache: &CellCache, cell: &SessionCell) -> CoreResult {
+        load_cell(cache, &cell.key).unwrap_or_else(|| {
+            let core = &self.compute_row(cell.row, &[cell.col])[0];
+            store_computed(cache, &cell.key, core)
+        })
+    }
+
+    /// Assembles the grid from one [`CoreResult`] per cell, row-major in
+    /// [`Self::cells`] order, labelling each with its column's name.
+    /// Panics when the count does not match the grid.
+    pub fn grid(&self, cores: Vec<CoreResult>) -> SessionGrid {
+        assert_eq!(cores.len(), self.workloads.len() * self.configs.len(), "one result per cell");
+        let names = self.configs.iter().map(|c| &c.name).cycle();
+        SessionGrid {
+            workloads: self.workloads.iter().map(|s| s.name().to_string()).collect(),
+            configs: self.configs.iter().map(|c| c.name.clone()).collect(),
+            results: cores
+                .into_iter()
+                .zip(names)
+                .map(|(core, name)| SimResult { config_name: name.clone(), core })
+                .collect(),
+        }
     }
 }
 
@@ -479,11 +489,29 @@ struct CapturePool {
     compact: Mutex<Vec<CompactParts>>,
 }
 
+/// Reads one cell's result out of `cache`, decoding the loaded entry
+/// directly: it was parsed from the exact bytes the cache file holds,
+/// which is all a render→parse round-trip would reproduce.
+pub fn load_cell(cache: &CellCache, key: &CellKey) -> Option<CoreResult> {
+    cache.load(key).and_then(|entry| decode(&entry))
+}
+
+fn decode(entry: &Json) -> Option<CoreResult> {
+    CoreResult::from_json(entry).ok()
+}
+
+/// Stores a freshly computed cell and returns it as a later read of
+/// the stored bytes decodes it, so cold and warm cells are identical.
+fn store_computed(cache: &CellCache, key: &CellKey, core: &CoreResult) -> CoreResult {
+    let entry = core.to_json();
+    cache.store(key, &entry);
+    roundtrip(&entry).expect("CoreResult JSON round-trips")
+}
+
 /// Normalizes a cell result through its rendered JSON bytes — the form
-/// every cache file holds — so cached and computed cells are read back
-/// identically.
+/// every cache file holds.
 fn roundtrip(entry: &Json) -> Option<CoreResult> {
-    CoreResult::from_json(&Json::parse(&entry.render()).ok()?).ok()
+    decode(&Json::parse(&entry.render()).ok()?)
 }
 
 /// Cache accounting for one [`SimSession::run_cached`] call.
@@ -783,6 +811,29 @@ mod tests {
             for c in plain.configs() {
                 assert_eq!(plain.result(w, c).core, capped.result(w, c).core);
             }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn loaded_entries_decode_directly_as_their_round_trip() {
+        // A cache hit skips the render→parse round-trip that fresh
+        // cells take; for every cell the two reads must agree.
+        let dir = std::env::temp_dir().join(format!("zbp-session-decode-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CellCache::at(&dir);
+        let session = SimSession::new()
+            .seed(29)
+            .max_len(4_000)
+            .workloads(vec![WorkloadProfile::tpf_airline(), WorkloadProfile::zlinux_informix()])
+            .configs(SimConfig::table3());
+        let (cold, _) = session.run_cached_cells(&cache);
+        for (cell, fresh) in session.cells().iter().zip(&cold) {
+            let entry = cache.load(&cell.key).expect("cell stored");
+            let direct = decode(&entry).expect("entry decodes");
+            assert_eq!(Some(&direct), roundtrip(&entry).as_ref(), "({}, {})", cell.row, cell.col);
+            assert_eq!(&direct, fresh, "({}, {}) warm read differs from cold", cell.row, cell.col);
+            assert_eq!(session.cached_cell(&cache, cell), direct);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -679,6 +679,28 @@ mod tests {
     }
 
     #[test]
+    fn write_num_special_cases_parse_back_bit_exactly() {
+        // Cache readers decode a loaded entry without re-rendering it,
+        // which is sound only if parse(render(v)) == v for every number
+        // `write_num` renders: the signed zero, both sides of the switch
+        // to exponent form at 1e21, a subnormal, and counters up to 2^53.
+        let below_1e21 = f64::from_bits(1e21f64.to_bits() - 1);
+        let mut numbers = vec![-0.0, 0.0, below_1e21, 1e21, -1e21, 5e-324, 2.5e-310];
+        numbers.extend((0..=53).map(|bit| (1u64 << bit) as f64));
+        numbers.extend((1..=53).map(|bit| ((1u64 << bit) - 1) as f64));
+        for n in numbers {
+            let value = Json::Num(n);
+            let rendered = value.render();
+            let back = Json::parse(&rendered).unwrap();
+            assert_eq!(back, value, "{n:e} rendered as {rendered:?}");
+            let Json::Num(m) = back else { unreachable!() };
+            assert_eq!(m.to_bits(), n.to_bits(), "{n:e} rendered as {rendered:?}");
+        }
+        assert_eq!(Json::Num(below_1e21).render(), "999999999999999900000");
+        assert_eq!(Json::Num(1e21).render(), "1e21");
+    }
+
+    #[test]
     fn integers_roundtrip_exactly() {
         for n in [0u64, 1, 4096, 1 << 52, (1 << 53) - 1] {
             assert_eq!(from_str::<u64>(&to_string(&n)).unwrap(), n);

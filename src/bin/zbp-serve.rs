@@ -51,7 +51,8 @@ ZBP_CACHE_DIR, ZBP_TRACE_STORE, ZBP_FRESH_TRACES and ZBP_RESULTS_DIR
 are read first; command-line flags override them.
 ";
 
-/// Set by the signal handler; polled by the accept loop.
+/// Set by the signal handler; the accept loop checks it between
+/// connections and at least every 20 ms while idle.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_signal(_signum: i32) {
