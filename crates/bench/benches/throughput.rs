@@ -8,9 +8,12 @@
 //! × the 3 Table-3 configurations) four ways:
 //!
 //! * **staged** — one instrumented pass attributing time to capture
-//!   (record form), compact encode, compact run-batched replay (the
-//!   default production path) and record per-instruction replay (the
-//!   reference path), with both encodings' bytes-per-instruction;
+//!   (record form), compact encode from those records, the production
+//!   compact capture straight off the generator (block emission,
+//!   cross-checked against the record encode), compact run-batched
+//!   replay (the default production path) and record per-instruction
+//!   replay (the reference path), with both encodings'
+//!   bytes-per-instruction;
 //! * **shared** — the end-to-end generate-once grid with per-column
 //!   replay (compact capture straight off the generator, every column
 //!   walks the shared capture on its own);
@@ -144,8 +147,13 @@ struct ThroughputReport {
     prepr_rev: Option<String>,
     /// Record-capture throughput (million instructions/second).
     generate_mips: f64,
-    /// Compact-encode throughput (MIPS over generated instructions).
+    /// Compact-encode throughput from the captured records (MIPS over
+    /// generated instructions).
     encode_mips: f64,
+    /// Production capture throughput: `capture_within_into` straight
+    /// off the generator, which appends whole block bodies (MIPS;
+    /// layout synthesis excluded).
+    capture_mips: f64,
     /// Compact replay throughput (million simulated instructions/second).
     replay_mips: f64,
     /// Record replay throughput (reference path, MIPS).
@@ -249,6 +257,7 @@ zbp_support::impl_json_struct!(ThroughputReport {
     prepr_rev,
     generate_mips,
     encode_mips,
+    capture_mips,
     replay_mips,
     replay_record_mips,
     shared_mips,
@@ -299,6 +308,7 @@ struct StagedRow {
     record_results: Vec<SimResult>,
     gen_s: f64,
     encode_s: f64,
+    capture_s: f64,
     replay_s: f64,
     replay_record_s: f64,
     record_bytes: u64,
@@ -327,6 +337,21 @@ fn main() {
         let t = Instant::now();
         let compact = CompactTrace::capture(&mat).expect("generator streams compact-encode");
         let encode_s = t.elapsed().as_secs_f64();
+        // The production capture of the same stream must encode it
+        // identically to the record round trip above.
+        let gen = p.build_with_len(opts.seed, opts.len_for(p));
+        let t = Instant::now();
+        let direct = CompactTrace::capture_within_into(&gen, u64::MAX, CompactParts::default())
+            .expect("generator streams compact-encode");
+        let capture_s = t.elapsed().as_secs_f64();
+        assert!(
+            direct.branch_points() == compact.branch_points()
+                && direct.len_code_stream() == compact.len_code_stream()
+                && direct.far_stream() == compact.far_stream(),
+            "block capture and record encode diverged on {}",
+            p.name
+        );
+        drop(direct);
         let t = Instant::now();
         let compact_results = par_map(&configs, |c| Simulator::run_config_compact(c, &compact));
         let replay_s = t.elapsed().as_secs_f64();
@@ -338,6 +363,7 @@ fn main() {
             record_results,
             gen_s,
             encode_s,
+            capture_s,
             replay_s,
             replay_record_s,
             record_bytes: mat.bytes(),
@@ -362,6 +388,7 @@ fn main() {
 
     let generate_s: f64 = staged.iter().map(|r| r.gen_s).sum();
     let encode_s: f64 = staged.iter().map(|r| r.encode_s).sum();
+    let capture_s: f64 = staged.iter().map(|r| r.capture_s).sum();
     let replay_s: f64 = staged.iter().map(|r| r.replay_s).sum();
     let replay_record_s: f64 = staged.iter().map(|r| r.replay_record_s).sum();
     let record_bytes: u64 = staged.iter().map(|r| r.record_bytes).sum();
@@ -689,6 +716,7 @@ fn main() {
         prepr_rev,
         generate_mips: mips(generate_instructions, generate_s),
         encode_mips: mips(generate_instructions, encode_s),
+        capture_mips: mips(generate_instructions, capture_s),
         replay_mips: mips(replay_instructions, replay_s),
         replay_record_mips: mips(replay_instructions, replay_record_s),
         shared_mips: mips(replay_instructions, shared_total_s),
@@ -729,6 +757,12 @@ fn main() {
             format!("{:.3}", report.encode_s),
             format!("{}", generate_instructions),
             format!("{:.2}", report.encode_mips),
+        ],
+        vec![
+            "compact capture (block emission)".to_string(),
+            format!("{:.3}", capture_s),
+            format!("{}", generate_instructions),
+            format!("{:.2}", report.capture_mips),
         ],
         vec![
             "replay (compact, run-batched)".to_string(),

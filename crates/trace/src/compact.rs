@@ -32,6 +32,14 @@
 //! smaller than the record form — and, more importantly, lets the core
 //! replay a whole non-branch run as one batched step instead of
 //! materializing a `TraceInstr` per instruction.
+//!
+//! Capture is symmetric: [`CompactTrace::capture_within_into`] hands an
+//! [`Encoder`] to [`Trace::encode_compact`]. Record traces push one
+//! [`TraceInstr`] at a time; the synthetic generators append each block
+//! body as its length codes plus one `gap` update and each terminator as
+//! one point, never building the records. Both paths emit identical
+//! streams (including the discontinuity point at every mix slice
+//! switch), and both check the byte budget every 4096 instructions.
 
 use std::sync::Arc;
 
@@ -277,7 +285,30 @@ pub struct CompactTrace {
     buf: Arc<CompactBuf>,
 }
 
-struct Encoder {
+/// Why an [`Encoder`] stopped accepting instructions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CaptureStop {
+    /// The stream is not representable (see [`EncodeError`]).
+    Unencodable(EncodeError),
+    /// The encoded size exceeded the capture's byte budget.
+    OverBudget,
+}
+
+impl From<EncodeError> for CaptureStop {
+    fn from(e: EncodeError) -> Self {
+        CaptureStop::Unencodable(e)
+    }
+}
+
+/// Budgeted compact encoder behind [`CompactTrace::capture_within_into`].
+///
+/// A [`Trace`] feeds it through [`Trace::encode_compact`]: by default one
+/// record at a time, while the synthetic generators append whole block
+/// bodies of length codes at once. Both paths produce the identical
+/// streams. A wrapper trace can forward the encoder to the trace it
+/// wraps; the append operations themselves are internal to this crate.
+#[derive(Debug)]
+pub struct Encoder {
     start: Option<InstAddr>,
     expected: Option<InstAddr>,
     gap: u32,
@@ -286,6 +317,29 @@ struct Encoder {
     len_codes: Vec<u8>,
     far: Vec<u64>,
     budget: u64,
+    /// Instruction count at which the budget is next checked.
+    next_check: u64,
+}
+
+/// Instructions between budget checks: an instruction adds at most ~21
+/// encoded bytes, so the overshoot before a check is bounded and an
+/// over-budget capture still aborts early on multi-megabyte misfits.
+const CHECK_EVERY: u64 = 4096;
+
+/// Whether `len` is a z/Architecture instruction length (2/4/6).
+#[inline]
+fn encodable(len: u8) -> bool {
+    matches!(len, 2 | 4 | 6)
+}
+
+/// The 2-bit code of an instruction length.
+#[inline]
+fn len_code(len: u8) -> Result<u8, EncodeError> {
+    if encodable(len) {
+        Ok((len >> 1) - 1)
+    } else {
+        Err(EncodeError::UnsupportedLen(len))
+    }
 }
 
 impl Encoder {
@@ -299,25 +353,72 @@ impl Encoder {
         let hint = usize::try_from(len_hint).unwrap_or(0);
         points.reserve(hint / 4);
         len_codes.reserve(hint / 4 + 1);
-        Self { start: None, expected: None, gap: 0, total: 0, points, len_codes, far, budget }
+        Self {
+            start: None,
+            expected: None,
+            gap: 0,
+            total: 0,
+            points,
+            len_codes,
+            far,
+            budget,
+            next_check: CHECK_EVERY,
+        }
+    }
+
+    /// Packed length-code bytes holding the codes so far.
+    fn code_bytes(&self) -> usize {
+        self.total.div_ceil(4) as usize
     }
 
     fn bytes(&self) -> u64 {
-        encoded_bytes(self.points.len(), self.len_codes.len(), self.far.len())
+        encoded_bytes(self.points.len(), self.code_bytes(), self.far.len())
     }
 
-    fn parts(self) -> CompactParts {
+    fn parts(mut self) -> CompactParts {
+        self.len_codes.truncate(self.code_bytes());
         CompactParts { points: self.points, len_codes: self.len_codes, far: self.far }
     }
 
+    /// Zero-extends the code stream to at least `bytes` bytes. The
+    /// stream runs ahead of the codes OR-ed into it (see `push_code`)
+    /// by at most its own length, and is cut to length at the end.
+    #[cold]
+    fn grow_codes(&mut self, bytes: usize) {
+        let len = bytes.max(self.len_codes.len() * 2).max(4096);
+        self.len_codes.resize(len, 0);
+    }
+
+    /// Instructions that may be appended before the next budget check
+    /// (at least 1). Block appends are cut here so the check runs every
+    /// [`CHECK_EVERY`] instructions, as it does per record.
+    #[inline]
+    pub(crate) fn until_check(&self) -> u64 {
+        self.next_check.saturating_sub(self.total).max(1)
+    }
+
+    /// Checks the byte budget once [`Self::until_check`] instructions
+    /// have been appended since the last check.
+    #[inline]
+    pub(crate) fn check_budget(&mut self) -> Result<(), CaptureStop> {
+        if self.total >= self.next_check {
+            self.next_check = self.total + CHECK_EVERY;
+            if self.bytes() > self.budget {
+                return Err(CaptureStop::OverBudget);
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends one 2-bit code. The stream ahead of the codes is zero,
+    /// so a code is OR-ed into its byte without branching on the slot.
     #[inline]
     fn push_code(&mut self, code: u8) {
-        let slot = (self.total & 3) << 1;
-        if slot == 0 {
-            self.len_codes.push(code);
-        } else if let Some(last) = self.len_codes.last_mut() {
-            *last |= code << slot;
+        let byte = (self.total >> 2) as usize;
+        if byte >= self.len_codes.len() {
+            self.grow_codes(byte + 1);
         }
+        self.len_codes[byte] |= code << ((self.total & 3) << 1);
         self.total += 1;
     }
 
@@ -330,6 +431,19 @@ impl Encoder {
     fn push_disc(&mut self, next: InstAddr) {
         self.far.push(next.raw());
         self.push_point(0, KIND_PLAIN | FLAG_DISC);
+    }
+
+    /// Accounts for an on-path instruction at `addr`: the stream's start,
+    /// or a discontinuity point when `addr` is not where the previous
+    /// instruction led.
+    #[inline]
+    fn enter(&mut self, addr: InstAddr) {
+        match self.expected {
+            Some(e) if e == addr => {}
+            Some(_) => self.push_disc(addr),
+            None if self.start.is_none() => self.start = Some(addr),
+            None => self.push_disc(addr),
+        }
     }
 
     /// Encodes `rec`'s kind/taken/target relative to `addr`, spilling
@@ -351,13 +465,9 @@ impl Encoder {
         }
     }
 
-    fn push(&mut self, instr: &TraceInstr) -> Result<(), EncodeError> {
-        let code = match instr.len {
-            2 => 0u8,
-            4 => 1,
-            6 => 2,
-            other => return Err(EncodeError::UnsupportedLen(other)),
-        };
+    /// Appends one record.
+    pub(crate) fn push(&mut self, instr: &TraceInstr) -> Result<(), EncodeError> {
+        let code = len_code(instr.len)?;
         if instr.wrong_path {
             // Off-path record: address from the far stream, flow
             // untouched (`expected` is deliberately not updated).
@@ -370,12 +480,7 @@ impl Encoder {
             self.push_code(code);
             return Ok(());
         }
-        match self.expected {
-            Some(e) if e == instr.addr => {}
-            Some(_) => self.push_disc(instr.addr),
-            None if self.start.is_none() => self.start = Some(instr.addr),
-            None => self.push_disc(instr.addr),
-        }
+        self.enter(instr.addr);
         match instr.branch {
             None => {
                 if self.gap == u32::MAX {
@@ -396,7 +501,60 @@ impl Encoder {
         Ok(())
     }
 
-    fn finish(self, name: &str) -> CompactTrace {
+    /// Appends sequential non-branch instructions of lengths `lens`, the
+    /// first at `addr` — exactly what pushing them one record at a time
+    /// appends, in one gap update.
+    pub(crate) fn push_run(&mut self, addr: InstAddr, lens: &[u8]) -> Result<(), EncodeError> {
+        if u64::from(self.gap) + lens.len() as u64 > u64::from(u32::MAX) {
+            // The run splits the gap field; take the record path.
+            let mut a = addr;
+            for &len in lens {
+                self.push(&TraceInstr::plain(a, len))?;
+                a = a.add(u64::from(len));
+            }
+            return Ok(());
+        }
+        if let Some(&bad) = lens.iter().find(|&&l| !encodable(l)) {
+            return Err(EncodeError::UnsupportedLen(bad));
+        }
+        if lens.is_empty() {
+            return Ok(());
+        }
+        self.enter(addr);
+        let need = (self.total + lens.len() as u64).div_ceil(4) as usize;
+        if need > self.len_codes.len() {
+            self.grow_codes(need);
+        }
+        // The only data-dependent branch per code is the loop itself.
+        let codes = &mut self.len_codes[..need];
+        let mut total = self.total;
+        let mut bytes = 0u64;
+        for &len in lens {
+            codes[(total >> 2) as usize] |= ((len >> 1) - 1) << ((total & 3) << 1);
+            bytes += u64::from(len);
+            total += 1;
+        }
+        self.total = total;
+        self.gap += lens.len() as u32;
+        self.expected = Some(addr.add(bytes));
+        Ok(())
+    }
+
+    /// Appends records one at a time — the default
+    /// [`Trace::encode_compact`].
+    pub(crate) fn push_records(
+        &mut self,
+        records: impl Iterator<Item = TraceInstr>,
+    ) -> Result<(), CaptureStop> {
+        for instr in records {
+            self.push(&instr)?;
+            self.check_budget()?;
+        }
+        Ok(())
+    }
+
+    fn finish(mut self, name: &str) -> CompactTrace {
+        self.len_codes.truncate(self.code_bytes());
         let buf = CompactBuf {
             start: self.start.unwrap_or(InstAddr::new(0)),
             total: self.total,
@@ -429,8 +587,9 @@ impl CompactTrace {
         })
     }
 
-    /// Encodes `trace` into recycled `parts`, aborting as soon as the
-    /// encoded size exceeds `max_bytes`.
+    /// Encodes `trace` into recycled `parts` through
+    /// [`Trace::encode_compact`], aborting once the encoded size exceeds
+    /// `max_bytes` (checked every 4096 instructions and at the end).
     ///
     /// # Errors
     ///
@@ -442,28 +601,17 @@ impl CompactTrace {
         parts: CompactParts,
     ) -> Result<Self, CompactCaptureError> {
         let mut enc = Encoder::new(trace.len(), parts, max_bytes);
-        // Budget checks amortize over a block of instructions: a block
-        // adds at most ~21 bytes/instruction, so the overshoot before a
-        // check is bounded and the capture still aborts early on
-        // multi-megabyte misfits.
-        const CHECK_EVERY: u64 = 4096;
-        let mut until_check = CHECK_EVERY;
-        for instr in trace.iter() {
-            if let Err(err) = enc.push(&instr) {
-                return Err(CompactCaptureError::Unencodable(err, enc.parts()));
-            }
-            until_check -= 1;
-            if until_check == 0 {
-                until_check = CHECK_EVERY;
-                if enc.bytes() > enc.budget {
-                    return Err(CompactCaptureError::OverBudget(enc.parts()));
-                }
-            }
+        let mut fed = trace.encode_compact(&mut enc);
+        if fed.is_ok() && enc.bytes() > enc.budget {
+            fed = Err(CaptureStop::OverBudget);
         }
-        if enc.bytes() > enc.budget {
-            return Err(CompactCaptureError::OverBudget(enc.parts()));
+        match fed {
+            Ok(()) => Ok(enc.finish(trace.name())),
+            Err(CaptureStop::Unencodable(err)) => {
+                Err(CompactCaptureError::Unencodable(err, enc.parts()))
+            }
+            Err(CaptureStop::OverBudget) => Err(CompactCaptureError::OverBudget(enc.parts())),
         }
-        Ok(enc.finish(trace.name()))
     }
 
     /// Bytes of compact storage this capture occupies.
@@ -572,34 +720,58 @@ impl CompactTrace {
         len_codes: Vec<u8>,
         far: Vec<u64>,
     ) -> Result<Self, PartsError> {
-        let expected_code_bytes = usize::try_from(total.div_ceil(4)).unwrap_or(usize::MAX);
-        if len_codes.len() != expected_code_bytes {
-            return Err(PartsError::LenCodes {
-                expected: expected_code_bytes,
-                got: len_codes.len(),
-            });
-        }
-        let mut far_used = 0usize;
-        let mut encoded = tail_gap;
-        for p in &points {
-            encoded += u64::from(p.gap);
-            if p.flags & FLAG_DISC != 0 {
-                far_used += 1;
-            } else {
-                encoded += 1;
-                far_used += usize::from(p.flags & FLAG_WRONG_PATH != 0)
-                    + usize::from(p.flags & FLAG_FAR != 0);
-            }
-        }
-        if far.len() != far_used {
-            return Err(PartsError::FarWords { expected: far_used, got: far.len() });
-        }
-        if encoded != total {
-            return Err(PartsError::Total { expected: encoded, got: total });
-        }
-        let buf = CompactBuf { start, total, tail_gap, points, len_codes, far };
-        Ok(CompactTrace { name: name.into(), buf: Arc::new(buf) })
+        check_parts(total, tail_gap, &points, &len_codes, &far)?;
+        Ok(Self::from_checked_parts(name, start, total, tail_gap, points, len_codes, far))
     }
+
+    /// [`Self::from_parts`] for streams that already passed
+    /// [`check_parts`].
+    pub(crate) fn from_checked_parts(
+        name: &str,
+        start: InstAddr,
+        total: u64,
+        tail_gap: u64,
+        points: Vec<BranchPoint>,
+        len_codes: Vec<u8>,
+        far: Vec<u64>,
+    ) -> Self {
+        let buf = CompactBuf { start, total, tail_gap, points, len_codes, far };
+        CompactTrace { name: name.into(), buf: Arc::new(buf) }
+    }
+}
+
+/// The structural checks of [`CompactTrace::from_parts`], on borrowed
+/// streams so a failing caller keeps its buffers.
+pub(crate) fn check_parts(
+    total: u64,
+    tail_gap: u64,
+    points: &[BranchPoint],
+    len_codes: &[u8],
+    far: &[u64],
+) -> Result<(), PartsError> {
+    let expected_code_bytes = usize::try_from(total.div_ceil(4)).unwrap_or(usize::MAX);
+    if len_codes.len() != expected_code_bytes {
+        return Err(PartsError::LenCodes { expected: expected_code_bytes, got: len_codes.len() });
+    }
+    let mut far_used = 0usize;
+    let mut encoded = tail_gap;
+    for p in points {
+        encoded += u64::from(p.gap);
+        if p.flags & FLAG_DISC != 0 {
+            far_used += 1;
+        } else {
+            encoded += 1;
+            far_used +=
+                usize::from(p.flags & FLAG_WRONG_PATH != 0) + usize::from(p.flags & FLAG_FAR != 0);
+        }
+    }
+    if far.len() != far_used {
+        return Err(PartsError::FarWords { expected: far_used, got: far.len() });
+    }
+    if encoded != total {
+        return Err(PartsError::Total { expected: encoded, got: total });
+    }
+    Ok(())
 }
 
 impl Trace for CompactTrace {

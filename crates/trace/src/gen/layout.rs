@@ -5,6 +5,16 @@
 //! and *ever-taken site fraction* match a workload target (the two columns
 //! of the paper's Table 4). The dynamic walk over this image is in
 //! [`super::walker`].
+//!
+//! The image is flat: every block of every function lives in one
+//! [`Program::blocks`] vector in layout order, the non-terminator
+//! instruction lengths of all blocks in one `u8` arena and the indirect
+//! branch targets in one [`BlockId`] arena. A [`Function`] is a [`Span`]
+//! of blocks and a [`Block`] names its lengths by span, so [`Block`] and
+//! [`Terminator`] are `Copy` and a Table-4-sized image is three
+//! allocations rather than hundreds of thousands.
+
+use std::ops::Range;
 
 use crate::addr::InstAddr;
 use crate::gen::behavior::{CondBehavior, IndirectBehavior};
@@ -13,11 +23,31 @@ use zbp_support::rng::SmallRng;
 /// Identifier of a function within a [`Program`].
 pub type FuncId = u32;
 
+/// Index of a block in [`Program::blocks`] (program-wide, not relative
+/// to its function).
+pub type BlockId = u32;
+
 /// Identifier carrying per-site dynamic state (conditionals and indirects).
 pub type SiteId = u32;
 
+/// A contiguous index range into one of a [`Program`]'s arenas.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Span {
+    /// First index.
+    pub start: u32,
+    /// Number of elements.
+    pub len: u32,
+}
+
+impl Span {
+    /// The span as a `usize` range, for slicing.
+    pub fn range(self) -> Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// How a basic block ends.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Terminator {
     /// No branch: execution continues into the next block. Creates the
     /// branch-free stretches that make perceived BTB1 misses speculative
@@ -29,8 +59,8 @@ pub enum Terminator {
         site: SiteId,
         /// Instruction length in bytes.
         len: u8,
-        /// Target block index within the same function.
-        target_block: u32,
+        /// Target block (within the same function).
+        target_block: BlockId,
         /// Direction behaviour.
         behavior: CondBehavior,
     },
@@ -38,8 +68,8 @@ pub enum Terminator {
     Jump {
         /// Instruction length in bytes.
         len: u8,
-        /// Target block index within the same function.
-        target_block: u32,
+        /// Target block (within the same function).
+        target_block: BlockId,
     },
     /// Call to another function; execution resumes at the next block.
     Call {
@@ -59,8 +89,8 @@ pub enum Terminator {
         site: SiteId,
         /// Instruction length in bytes.
         len: u8,
-        /// Candidate target block indices.
-        targets: Vec<u32>,
+        /// Candidate target blocks: a span of [`Program::targets`].
+        targets: Span,
         /// Target-selection behaviour.
         behavior: IndirectBehavior,
     },
@@ -116,12 +146,15 @@ impl Terminator {
 }
 
 /// A basic block: straight-line instructions plus a terminator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Block {
     /// Address of the first instruction.
     pub start: InstAddr,
-    /// Lengths of the non-terminator instructions.
-    pub instr_lens: Vec<u8>,
+    /// Address of the terminator (the end of the body).
+    term_addr: InstAddr,
+    /// Lengths of the non-terminator instructions: a span of the
+    /// program's length arena ([`Program::instr_lens`]).
+    lens: Span,
     /// How the block ends.
     pub term: Terminator,
 }
@@ -129,23 +162,34 @@ pub struct Block {
 impl Block {
     /// Total byte size of the block including the terminator.
     pub fn size_bytes(&self) -> u64 {
-        self.instr_lens.iter().map(|&l| l as u64).sum::<u64>() + self.term.len() as u64
+        self.term_addr.raw() - self.start.raw() + self.term.len() as u64
     }
 
     /// Address of the terminator instruction (== end for fall-throughs).
     pub fn term_addr(&self) -> InstAddr {
-        let body: u64 = self.instr_lens.iter().map(|&l| l as u64).sum();
-        self.start.add(body)
+        self.term_addr
     }
 }
 
-/// A function: contiguous basic blocks.
-#[derive(Debug, Clone, PartialEq)]
+/// A function: a contiguous run of blocks in [`Program::blocks`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Function {
     /// Entry address (== first block start).
     pub entry: InstAddr,
-    /// Basic blocks in layout order.
-    pub blocks: Vec<Block>,
+    /// The function's blocks, in layout order.
+    pub blocks: Span,
+}
+
+impl Function {
+    /// The entry block.
+    pub fn first_block(&self) -> BlockId {
+        self.blocks.start
+    }
+
+    /// The final block (always a return).
+    pub fn last_block(&self) -> BlockId {
+        self.blocks.start + self.blocks.len - 1
+    }
 }
 
 /// Parameters controlling program synthesis.
@@ -234,11 +278,14 @@ impl LayoutParams {
     }
 }
 
-/// A complete synthesized program image.
+/// A complete synthesized program image (see the module docs for the
+/// flat layout).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
-    /// All functions, id == index.
-    pub functions: Vec<Function>,
+    functions: Vec<Function>,
+    blocks: Vec<Block>,
+    lens: Vec<u8>,
+    targets: Vec<BlockId>,
     /// Number of dynamic-state sites (conditionals + indirects).
     pub n_state_sites: u32,
     /// Count of branch sites reachable from function entries.
@@ -267,51 +314,87 @@ impl Program {
     pub fn generate(params: &LayoutParams, seed: u64) -> Self {
         assert!(params.target_sites > 0, "target_sites must be positive");
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut gen = Generator::new(params, &mut rng);
+        let mut gen = Generator::new(params);
         let overshoot =
             (params.target_sites as f64 / params.reachable_margin.clamp(0.05, 1.0)) as u64;
-        let mut funcs: Vec<Function> = Vec::new();
-        let mut reachable: u64 = 0;
-        let mut reachable_taken: u64 = 0;
-        // Hard cap so degenerate parameters cannot spin forever.
-        let max_funcs = 4_000_000usize;
-        while reachable < overshoot && funcs.len() < max_funcs {
-            let f = gen.gen_function(&mut rng, funcs.len() as u32);
-            let (r, rt) = reachability(&f);
-            reachable += r as u64;
-            reachable_taken += rt as u64;
-            funcs.push(f);
-        }
-        let n_funcs = funcs.len() as u32;
-        // Fix up call targets that referenced not-yet-generated functions.
-        for f in &mut funcs {
-            for b in &mut f.blocks {
-                if let Terminator::Call { callee, .. } = &mut b.term {
-                    *callee %= n_funcs;
-                }
-            }
-        }
-        Program {
-            functions: funcs,
-            n_state_sites: gen.next_site,
-            reachable_sites: reachable as u32,
-            reachable_taken_sites: reachable_taken as u32,
-            footprint_bytes: gen.cursor - params.base_addr,
+        // About 1.6 blocks per reachable site and 5 instructions per
+        // block at the default mix (capped, so absurd targets grow the
+        // arenas instead of reserving them); a miss only costs a
+        // reallocation.
+        let est_blocks = (overshoot.saturating_mul(7) / 4).min(1 << 22) as usize;
+        let mut image = Program {
+            functions: Vec::new(),
+            blocks: Vec::with_capacity(est_blocks),
+            lens: Vec::with_capacity(est_blocks.saturating_mul(5)),
+            targets: Vec::new(),
+            n_state_sites: 0,
+            reachable_sites: 0,
+            reachable_taken_sites: 0,
+            footprint_bytes: 0,
             phase_len: params.phase_len,
             phase_ranges: params.phase_ranges,
             hot_funcs: params.hot_funcs,
             hot_dispatch_prob: params.hot_dispatch_prob,
+        };
+        let mut reach = Reach::default();
+        let mut reachable: u64 = 0;
+        let mut reachable_taken: u64 = 0;
+        // Hard cap so degenerate parameters cannot spin forever.
+        let max_funcs = 4_000_000usize;
+        while reachable < overshoot && image.functions.len() < max_funcs {
+            let f = gen.gen_function(&mut rng, image.functions.len() as u32, &mut image);
+            let (r, rt) = reach.count(&image, f);
+            reachable += r as u64;
+            reachable_taken += rt as u64;
+            image.functions.push(f);
+        }
+        let n_funcs = image.functions.len() as u32;
+        // Fix up call targets that referenced not-yet-generated functions.
+        for b in &mut image.blocks {
+            if let Terminator::Call { callee, .. } = &mut b.term {
+                *callee %= n_funcs;
+            }
+        }
+        image.n_state_sites = gen.next_site;
+        image.reachable_sites = reachable as u32;
+        image.reachable_taken_sites = reachable_taken as u32;
+        image.footprint_bytes = gen.cursor - params.base_addr;
+        image
+    }
+
+    /// All functions, id == index.
+    pub fn functions(&self) -> &[Function] {
+        &self.functions
+    }
+
+    /// Every block of every function, in layout order.
+    pub fn blocks(&self) -> &[Block] {
+        &self.blocks
+    }
+
+    /// The blocks of one function, in layout order.
+    pub fn function_blocks(&self, f: &Function) -> &[Block] {
+        &self.blocks[f.blocks.range()]
+    }
+
+    /// Lengths of `block`'s non-terminator instructions.
+    pub fn instr_lens(&self, block: &Block) -> &[u8] {
+        &self.lens[block.lens.range()]
+    }
+
+    /// Candidate target blocks of an indirect terminator (empty for any
+    /// other terminator).
+    pub fn targets(&self, term: &Terminator) -> &[BlockId] {
+        match term {
+            Terminator::Indirect { targets, .. } => &self.targets[targets.range()],
+            _ => &[],
         }
     }
 
     /// Iterator over the addresses of every branch site in layout order
     /// (reachable or not). Mainly for statistics and tests.
     pub fn branch_site_addrs(&self) -> impl Iterator<Item = InstAddr> + '_ {
-        self.functions
-            .iter()
-            .flat_map(|f| f.blocks.iter())
-            .filter(|b| b.term.is_branch())
-            .map(|b| b.term_addr())
+        self.blocks.iter().filter(|b| b.term.is_branch()).map(|b| b.term_addr())
     }
 
     /// Number of functions in the image.
@@ -320,44 +403,66 @@ impl Program {
     }
 }
 
-/// Computes (reachable branch sites, reachable taken-capable sites) for a
-/// function, following realized control-flow edges from block 0.
-fn reachability(f: &Function) -> (u32, u32) {
-    let n = f.blocks.len();
-    let mut seen = vec![false; n];
-    let mut stack = vec![0usize];
-    while let Some(i) = stack.pop() {
-        if seen[i] {
-            continue;
-        }
-        seen[i] = true;
-        let b = &f.blocks[i];
-        if b.term.can_fall_through() && i + 1 < n {
-            stack.push(i + 1);
-        }
-        match &b.term {
-            Terminator::Cond { target_block, behavior, .. } if behavior.can_take() => {
-                stack.push(*target_block as usize)
+/// Scratch buffers of the per-function reachability count, reused
+/// across functions.
+#[derive(Default)]
+struct Reach {
+    seen: Vec<bool>,
+    stack: Vec<usize>,
+}
+
+impl Reach {
+    /// Computes (reachable branch sites, reachable taken-capable sites)
+    /// for function `f`, following realized control-flow edges from its
+    /// entry block.
+    fn count(&mut self, image: &Program, f: Function) -> (u32, u32) {
+        let blocks = &image.blocks[f.blocks.range()];
+        let first = f.first_block() as usize;
+        let n = blocks.len();
+        self.seen.clear();
+        self.seen.resize(n, false);
+        self.stack.clear();
+        self.stack.push(0);
+        while let Some(i) = self.stack.pop() {
+            if self.seen[i] {
+                continue;
             }
-            Terminator::Jump { target_block, .. } => stack.push(*target_block as usize),
-            Terminator::Indirect { targets, behavior, .. } => match behavior {
-                IndirectBehavior::Monomorphic => stack.push(targets[0] as usize),
-                _ => stack.extend(targets.iter().map(|&t| t as usize)),
-            },
-            _ => {}
-        }
-    }
-    let mut sites = 0;
-    let mut taken = 0;
-    for (i, b) in f.blocks.iter().enumerate() {
-        if seen[i] && b.term.is_branch() {
-            sites += 1;
-            if b.term.can_take() {
-                taken += 1;
+            self.seen[i] = true;
+            let b = &blocks[i];
+            if b.term.can_fall_through() && i + 1 < n {
+                self.stack.push(i + 1);
+            }
+            match b.term {
+                Terminator::Cond { target_block, behavior, .. } if behavior.can_take() => {
+                    self.stack.push(target_block as usize - first)
+                }
+                Terminator::Jump { target_block, .. } => {
+                    self.stack.push(target_block as usize - first)
+                }
+                Terminator::Indirect { targets, behavior, .. } => {
+                    let targets = &image.targets[targets.range()];
+                    match behavior {
+                        IndirectBehavior::Monomorphic => {
+                            self.stack.push(targets[0] as usize - first)
+                        }
+                        _ => self.stack.extend(targets.iter().map(|&t| t as usize - first)),
+                    }
+                }
+                _ => {}
             }
         }
+        let mut sites = 0;
+        let mut taken = 0;
+        for (b, &seen) in blocks.iter().zip(&self.seen) {
+            if seen && b.term.is_branch() {
+                sites += 1;
+                if b.term.can_take() {
+                    taken += 1;
+                }
+            }
+        }
+        (sites, taken)
     }
-    (sites, taken)
 }
 
 /// Incremental generator state shared across functions.
@@ -371,7 +476,7 @@ struct Generator<'p> {
 }
 
 impl<'p> Generator<'p> {
-    fn new(params: &'p LayoutParams, _rng: &mut SmallRng) -> Self {
+    fn new(params: &'p LayoutParams) -> Self {
         let mut cdf = [0.0; 5];
         let total: f64 = params.term_mix.iter().sum();
         assert!(total > 0.0, "terminator mix must have positive weight");
@@ -416,7 +521,9 @@ impl<'p> Generator<'p> {
         (self.never_taken_emitted as f64) < desired
     }
 
-    fn gen_function(&mut self, rng: &mut SmallRng, id: u32) -> Function {
+    /// Appends function `id`'s blocks, lengths and indirect targets to
+    /// `image` and returns its descriptor (not yet pushed).
+    fn gen_function(&mut self, rng: &mut SmallRng, id: u32, image: &mut Program) -> Function {
         let p = self.params;
         // Occasional module gap spreads code over the address space.
         if p.module_gap_every > 0 && id > 0 && id.is_multiple_of(p.module_gap_every) {
@@ -430,40 +537,54 @@ impl<'p> Generator<'p> {
             self.cursor += rng.random_range(0..8u64) * 2;
         }
         let entry = InstAddr::new(self.cursor);
-        let n_blocks = rng.random_range(p.blocks_per_fn.0..=p.blocks_per_fn.1).max(1) as usize;
-        let mut blocks = Vec::with_capacity(n_blocks);
+        let n_blocks = rng.random_range(p.blocks_per_fn.0..=p.blocks_per_fn.1).max(1);
+        let first = image.blocks.len() as BlockId;
         for bi in 0..n_blocks {
-            let n_instrs = rng.random_range(p.instrs_per_block.0..=p.instrs_per_block.1) as usize;
-            let instr_lens: Vec<u8> = (0..n_instrs).map(|_| self.instr_len(rng)).collect();
-            let is_last = bi + 1 == n_blocks;
-            let term = if is_last {
+            let n_instrs = rng.random_range(p.instrs_per_block.0..=p.instrs_per_block.1);
+            let lens_start = image.lens.len();
+            for _ in 0..n_instrs {
+                let len = self.instr_len(rng);
+                image.lens.push(len);
+            }
+            let term = if bi + 1 == n_blocks {
                 self.sites_emitted += 1;
                 Terminator::Return { len: self.branch_len(rng) }
             } else {
-                self.gen_terminator(rng, id, bi as u32, n_blocks as u32, &blocks)
+                self.gen_terminator(rng, id, first, bi, n_blocks, image)
             };
             let start = InstAddr::new(self.cursor);
-            let body: u64 = instr_lens.iter().map(|&l| l as u64).sum();
+            let body: u64 = image.lens[lens_start..].iter().map(|&l| l as u64).sum();
             self.cursor += body + term.len() as u64;
-            blocks.push(Block { start, instr_lens, term });
+            image.blocks.push(Block {
+                start,
+                term_addr: start.add(body),
+                lens: Span { start: lens_start as u32, len: n_instrs },
+                term,
+            });
         }
         // Small inter-function gap.
         self.cursor += rng.random_range(0..24u64) * 2;
-        Function { entry, blocks }
+        Function { entry, blocks: Span { start: first, len: n_blocks } }
     }
 
     /// Picks the largest valid backward loop target for block `i`: the
     /// loop body (blocks `t..=i`) must be small, call-free and contain no
     /// other back-edge, so loop iteration multiplies straight-line work
     /// only — otherwise call chains inside hot loops make function
-    /// traversals effectively never finish.
-    fn backward_loop_target(block_idx: u32, prior: &[Block], rng: &mut SmallRng) -> Option<u32> {
+    /// traversals effectively never finish. Indices are relative to the
+    /// function, whose blocks so far are `prior` starting at `first`.
+    fn backward_loop_target(
+        block_idx: u32,
+        first: BlockId,
+        prior: &[Block],
+        rng: &mut SmallRng,
+    ) -> Option<u32> {
         let lo = block_idx.saturating_sub(3);
         let t = rng.random_range(lo..=block_idx);
         for j in t..block_idx {
-            match &prior[j as usize].term {
+            match prior[j as usize].term {
                 Terminator::Call { .. } => return None,
-                Terminator::Cond { target_block, .. } if *target_block <= j => return None,
+                Terminator::Cond { target_block, .. } if target_block <= first + j => return None,
                 Terminator::Return { .. } => return None,
                 _ => {}
             }
@@ -471,13 +592,17 @@ impl<'p> Generator<'p> {
         Some(t)
     }
 
+    /// Draws the terminator of non-final block `block_idx` (relative to
+    /// the function starting at block `first`), storing program-wide
+    /// block ids.
     fn gen_terminator(
         &mut self,
         rng: &mut SmallRng,
         func_id: u32,
+        first: BlockId,
         block_idx: u32,
         n_blocks: u32,
-        prior: &[Block],
+        image: &mut Program,
     ) -> Terminator {
         let p = self.params;
         let x: f64 = rng.random();
@@ -493,7 +618,7 @@ impl<'p> Generator<'p> {
                 if self.want_never_taken() {
                     self.never_taken_emitted += 1;
                     // Never-taken check; target is recorded but unused.
-                    let target_block = rng.random_range(block_idx + 1..n_blocks);
+                    let target_block = first + rng.random_range(block_idx + 1..n_blocks);
                     return Terminator::Cond {
                         site,
                         len,
@@ -504,20 +629,21 @@ impl<'p> Generator<'p> {
                 let loop_target = if backward {
                     // Loop back-edge (self-loops allowed: the paper's
                     // fastest prediction case is a single-branch loop).
-                    Self::backward_loop_target(block_idx, prior, rng)
+                    let prior = &image.blocks[first as usize..];
+                    Self::backward_loop_target(block_idx, first, prior, rng)
                 } else {
                     None
                 };
-                if let Some(target_block) = loop_target {
+                if let Some(t) = loop_target {
                     let trip = rng.random_range(p.loop_trip.0..=p.loop_trip.1).max(2);
                     Terminator::Cond {
                         site,
                         len,
-                        target_block,
+                        target_block: first + t,
                         behavior: CondBehavior::Loop { trip },
                     }
                 } else {
-                    let target_block = rng.random_range(block_idx + 1..n_blocks);
+                    let target_block = first + rng.random_range(block_idx + 1..n_blocks);
                     let behavior = if rng.random_bool(p.pattern_fraction) {
                         let period = rng.random_range(2..=8u8);
                         // Ensure at least one taken bit.
@@ -547,7 +673,7 @@ impl<'p> Generator<'p> {
             }
             1 => {
                 self.sites_emitted += 1;
-                let target_block = rng.random_range(block_idx + 1..n_blocks);
+                let target_block = first + rng.random_range(block_idx + 1..n_blocks);
                 Terminator::Jump { len, target_block }
             }
             2 => {
@@ -566,12 +692,18 @@ impl<'p> Generator<'p> {
                 let site = self.next_site;
                 self.next_site += 1;
                 let n_targets = rng.random_range(2..=5u32).min(n_blocks - block_idx - 1).max(1);
-                let mut targets: Vec<u32> = Vec::with_capacity(n_targets as usize);
-                for _ in 0..n_targets {
-                    targets.push(rng.random_range(block_idx + 1..n_blocks));
+                let mut picks = [0; 5];
+                let picks = &mut picks[..n_targets as usize];
+                for t in picks.iter_mut() {
+                    *t = first + rng.random_range(block_idx + 1..n_blocks);
                 }
-                targets.sort_unstable();
-                targets.dedup();
+                picks.sort_unstable();
+                let at = image.targets.len();
+                for &t in picks.iter() {
+                    if image.targets.len() == at || image.targets.last() != Some(&t) {
+                        image.targets.push(t);
+                    }
+                }
                 // Half of indirect sites are effectively monomorphic
                 // (virtual calls with one receiver in practice).
                 let behavior = {
@@ -584,6 +716,7 @@ impl<'p> Generator<'p> {
                         IndirectBehavior::Random
                     }
                 };
+                let targets = Span { start: at as u32, len: (image.targets.len() - at) as u32 };
                 Terminator::Indirect { site, len, targets, behavior }
             }
             _ => Terminator::FallThrough,
@@ -634,11 +767,26 @@ mod tests {
     }
 
     #[test]
+    fn functions_tile_the_block_arena() {
+        let prog = Program::generate(&LayoutParams::small_test(), 10);
+        let mut next = 0;
+        for f in prog.functions() {
+            assert_eq!(f.blocks.start, next, "functions must be contiguous block ranges");
+            assert!(f.blocks.len > 0);
+            next += f.blocks.len;
+        }
+        assert_eq!(next as usize, prog.blocks().len());
+        let lens: usize = prog.blocks().iter().map(|b| prog.instr_lens(b).len()).sum();
+        assert_eq!(lens, prog.lens.len(), "blocks must tile the length arena");
+    }
+
+    #[test]
     fn blocks_are_contiguous_within_functions() {
         let prog = Program::generate(&LayoutParams::small_test(), 9);
-        for f in &prog.functions {
-            assert_eq!(f.entry, f.blocks[0].start);
-            for w in f.blocks.windows(2) {
+        for f in prog.functions() {
+            let blocks = prog.function_blocks(f);
+            assert_eq!(f.entry, blocks[0].start);
+            for w in blocks.windows(2) {
                 assert_eq!(
                     w[0].start.add(w[0].size_bytes()),
                     w[1].start,
@@ -652,18 +800,19 @@ mod tests {
     fn addresses_are_halfword_aligned_and_increasing() {
         let prog = Program::generate(&LayoutParams::small_test(), 4);
         let mut prev = 0u64;
-        for f in &prog.functions {
+        for f in prog.functions() {
             assert_eq!(f.entry.raw() % 2, 0);
             assert!(f.entry.raw() >= prev, "functions must not overlap");
-            prev = f.blocks.last().unwrap().start.raw();
+            prev = prog.blocks()[f.last_block() as usize].start.raw();
         }
     }
 
     #[test]
     fn every_function_ends_in_return() {
         let prog = Program::generate(&LayoutParams::small_test(), 8);
-        for f in &prog.functions {
-            assert!(matches!(f.blocks.last().unwrap().term, Terminator::Return { .. }));
+        for f in prog.functions() {
+            let last = prog.blocks()[f.last_block() as usize];
+            assert!(matches!(last.term, Terminator::Return { .. }));
         }
     }
 
@@ -671,11 +820,9 @@ mod tests {
     fn call_targets_are_in_range() {
         let prog = Program::generate(&LayoutParams::small_test(), 2);
         let n = prog.n_functions();
-        for f in &prog.functions {
-            for b in &f.blocks {
-                if let Terminator::Call { callee, .. } = b.term {
-                    assert!(callee < n);
-                }
+        for b in prog.blocks() {
+            if let Terminator::Call { callee, .. } = b.term {
+                assert!(callee < n);
             }
         }
     }
@@ -683,19 +830,21 @@ mod tests {
     #[test]
     fn branch_targets_are_in_function_range() {
         let prog = Program::generate(&LayoutParams::small_test(), 6);
-        for f in &prog.functions {
-            let n = f.blocks.len() as u32;
-            for b in &f.blocks {
-                match &b.term {
+        for f in prog.functions() {
+            let range = f.first_block()..=f.last_block();
+            for b in prog.function_blocks(f) {
+                match b.term {
                     Terminator::Cond { target_block, .. }
                     | Terminator::Jump { target_block, .. } => {
-                        assert!(*target_block < n)
+                        assert!(range.contains(&target_block))
                     }
-                    Terminator::Indirect { targets, .. } => {
+                    Terminator::Indirect { .. } => {
+                        let targets = prog.targets(&b.term);
                         assert!(!targets.is_empty());
-                        assert!(targets.iter().all(|&t| t < n));
+                        assert!(targets.iter().all(|t| range.contains(t)));
+                        assert!(targets.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
                     }
-                    _ => {}
+                    _ => assert!(prog.targets(&b.term).is_empty()),
                 }
             }
         }
@@ -713,9 +862,10 @@ mod tests {
     #[test]
     fn term_addr_is_after_body() {
         let prog = Program::generate(&LayoutParams::small_test(), 13);
-        let b = &prog.functions[0].blocks[0];
-        let body: u64 = b.instr_lens.iter().map(|&l| l as u64).sum();
-        assert_eq!(b.term_addr(), b.start.add(body));
+        for b in prog.blocks() {
+            let body: u64 = prog.instr_lens(b).iter().map(|&l| l as u64).sum();
+            assert_eq!(b.term_addr(), b.start.add(body));
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! slices: each context switch confronts the predictor with a working set
 //! it has not seen for a full round of slices.
 
+use crate::compact::{CaptureStop, Encoder};
 use crate::gen::walker::Walker;
 use crate::gen::GenTrace;
 use crate::{Trace, TraceInstr};
@@ -72,6 +73,10 @@ impl Trace for MixTrace {
         }
     }
 
+    fn encode_compact(&self, enc: &mut Encoder) -> Result<(), CaptureStop> {
+        self.iter().encode(enc)
+    }
+
     fn name(&self) -> &str {
         &self.name
     }
@@ -89,6 +94,26 @@ pub struct MixIter<'a> {
     in_slice: u64,
     slice_len: u64,
     remaining: u64,
+}
+
+impl MixIter<'_> {
+    /// Appends the rest of the mix to `enc` a slice at a time. A slice
+    /// stops mid-block and its walker resumes there next round, exactly
+    /// as the record iterator does; the encoder marks each slice switch
+    /// with the discontinuity point the record path produces.
+    fn encode(&mut self, enc: &mut Encoder) -> Result<(), CaptureStop> {
+        while self.remaining > 0 {
+            let n = (self.slice_len - self.in_slice).min(self.remaining);
+            self.walkers[self.idx].encode(enc, n)?;
+            self.remaining -= n;
+            self.in_slice += n;
+            if self.in_slice >= self.slice_len {
+                self.in_slice = 0;
+                self.idx = (self.idx + 1) % self.walkers.len();
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Iterator for MixIter<'_> {

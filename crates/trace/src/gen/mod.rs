@@ -25,6 +25,7 @@ pub mod layout;
 pub mod mix;
 pub mod walker;
 
+use crate::compact::{CaptureStop, Encoder};
 use crate::{Trace, TraceInstr};
 use layout::{LayoutParams, Program};
 use std::sync::Arc;
@@ -94,6 +95,10 @@ impl Trace for GenTrace {
 
     fn iter(&self) -> Self::Iter<'_> {
         Walker::new(&self.program, self.seed, self.len)
+    }
+
+    fn encode_compact(&self, enc: &mut Encoder) -> Result<(), CaptureStop> {
+        self.iter().encode(enc, u64::MAX)
     }
 
     fn name(&self) -> &str {

@@ -7,11 +7,21 @@
 //! `phase_len` instructions. Working-set shifts are what re-enter
 //! previously learned but since-evicted code — the situation the BTB2 bulk
 //! preload exists to accelerate.
+//!
+//! The walk advances in *steps*: a step is either a run of sequential
+//! non-branch instructions from one block body or one branch. The record
+//! [`Iterator`] takes steps of at most one instruction; compact capture
+//! takes whole block bodies and appends them to the encoder as length
+//! codes, so the terminator and dispatch logic exists once for both. A
+//! run is cut wherever the per-instruction walk would observe something
+//! — the caller's budget, the stream limit and the next working-set
+//! shift — so both consumers see the identical stream and random draws.
 
 use crate::addr::InstAddr;
 use crate::branch::{BranchKind, BranchRec};
+use crate::compact::{CaptureStop, Encoder};
 use crate::gen::behavior::SiteState;
-use crate::gen::layout::{FuncId, Program, Terminator};
+use crate::gen::layout::{BlockId, FuncId, Program, Terminator};
 use crate::instr::TraceInstr;
 use zbp_support::rng::SmallRng;
 
@@ -29,10 +39,11 @@ pub struct Walker<'p> {
     limit: u64,
     emitted: u64,
     site_state: Vec<SiteState>,
-    call_stack: Vec<(FuncId, u32)>,
-    cur_func: FuncId,
-    cur_block: u32,
-    cur_instr: usize,
+    /// Continuation blocks of the active calls.
+    call_stack: Vec<BlockId>,
+    cur_block: BlockId,
+    /// Body instructions of `cur_block` already emitted.
+    cur_instr: u32,
     cur_addr: InstAddr,
     phase: PhaseState,
     /// Next instruction count at which a return is forced to dispatch
@@ -40,6 +51,20 @@ pub struct Walker<'p> {
     /// one call-graph neighbourhood).
     next_forced_dispatch: u64,
     dispatch_interval: u64,
+}
+
+/// One step of a [`Walker`].
+pub(crate) enum Step<'p> {
+    /// Sequential non-branch instructions from one block body: the
+    /// first starts at `addr`, each next one where the previous ends.
+    Run {
+        /// Address of the first instruction.
+        addr: InstAddr,
+        /// Instruction lengths (never empty).
+        lens: &'p [u8],
+    },
+    /// One branch instruction.
+    Branch(TraceInstr),
 }
 
 /// Active working set: a union of contiguous function-id ranges, plus a
@@ -130,26 +155,34 @@ impl PhaseState {
         self.ranges[0].0
     }
 
-    /// Called once per emitted instruction; shifts one range per phase
-    /// and refreshes part of the hot set from the new working set.
-    /// Victims rotate oldest-first so every range gets the same
-    /// residency (`phase_ranges` phases) — random victims would leave
-    /// some ranges under-cycled and the footprint under-covered.
+    /// Called after every step with the instruction count so far;
+    /// shifts the working set once `until` is reached.
+    #[inline]
     fn tick(&mut self, emitted: u64, n_funcs: u32, rng: &mut SmallRng) {
         if emitted >= self.until {
-            self.until = emitted + self.phase_len;
-            let victim = (self.shifts as usize) % self.ranges.len();
-            self.shifts = self.shifts.wrapping_add(1);
-            let span = n_funcs.saturating_sub(self.range_size).max(1);
-            let start = self.rotation % span;
-            self.rotation = (self.rotation + self.range_size) % span;
-            self.ranges[victim] = (start, (start + self.range_size).min(n_funcs));
-            // A third of the hot set churns with the phase.
-            let churn = (self.hot.len() / 3).max(1);
-            for _ in 0..churn {
-                let slot = rng.random_range(0..self.hot.len());
-                self.hot[slot] = self.dispatch_cold(rng);
-            }
+            self.shift(emitted, n_funcs, rng);
+        }
+    }
+
+    /// Shifts one range per phase and refreshes part of the hot set
+    /// from the new working set. Victims rotate oldest-first so every
+    /// range gets the same residency (`phase_ranges` phases) — random
+    /// victims would leave some ranges under-cycled and the footprint
+    /// under-covered.
+    #[cold]
+    fn shift(&mut self, emitted: u64, n_funcs: u32, rng: &mut SmallRng) {
+        self.until = emitted + self.phase_len;
+        let victim = (self.shifts as usize) % self.ranges.len();
+        self.shifts = self.shifts.wrapping_add(1);
+        let span = n_funcs.saturating_sub(self.range_size).max(1);
+        let start = self.rotation % span;
+        self.rotation = (self.rotation + self.range_size) % span;
+        self.ranges[victim] = (start, (start + self.range_size).min(n_funcs));
+        // A third of the hot set churns with the phase.
+        let churn = (self.hot.len() / 3).max(1);
+        for _ in 0..churn {
+            let slot = rng.random_range(0..self.hot.len());
+            self.hot[slot] = self.dispatch_cold(rng);
         }
     }
 
@@ -188,11 +221,10 @@ impl<'p> Walker<'p> {
     ///
     /// Panics if the program has no functions.
     pub fn new(program: &'p Program, seed: u64, limit: u64) -> Self {
-        assert!(!program.functions.is_empty(), "program must contain functions");
+        assert!(!program.functions().is_empty(), "program must contain functions");
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xD157_A7C4_u64);
         let mut phase = PhaseState::new(program, &mut rng);
-        let start_func = phase.dispatch(&mut rng);
-        let cur_addr = program.functions[start_func as usize].entry;
+        let start_func = program.functions()[phase.dispatch(&mut rng) as usize];
         let dispatch_interval = (program.phase_len / 24).clamp(1_500, 25_000);
         Self {
             program,
@@ -201,25 +233,146 @@ impl<'p> Walker<'p> {
             emitted: 0,
             site_state: vec![SiteState::default(); program.n_state_sites as usize],
             call_stack: Vec::with_capacity(MAX_CALL_DEPTH),
-            cur_func: start_func,
-            cur_block: 0,
+            cur_block: start_func.first_block(),
             cur_instr: 0,
-            cur_addr,
+            cur_addr: start_func.entry,
             phase,
             next_forced_dispatch: dispatch_interval,
             dispatch_interval,
         }
     }
 
-    fn enter_block(&mut self, func: FuncId, block: u32) {
-        self.cur_func = func;
+    /// Moves to the start of `block`, returning its address.
+    fn enter_block(&mut self, block: BlockId) -> InstAddr {
         self.cur_block = block;
         self.cur_instr = 0;
-        self.cur_addr = self.program.functions[func as usize].blocks[block as usize].start;
+        self.cur_addr = self.program.blocks()[block as usize].start;
+        self.cur_addr
     }
 
-    fn block_start(&self, func: FuncId, block: u32) -> InstAddr {
-        self.program.functions[func as usize].blocks[block as usize].start
+    /// Advances the walk by one step of at most `max` (≥ 1)
+    /// instructions; `None` once the limit is reached.
+    ///
+    /// A run ends at the first of: the end of the block body, `max`, the
+    /// walk's limit, and the next working-set shift — so the phase state
+    /// advances at exactly the instruction count (and with exactly the
+    /// random draws) a one-instruction-at-a-time walk would produce.
+    #[inline(always)]
+    pub(crate) fn step(&mut self, max: u64) -> Option<Step<'p>> {
+        debug_assert!(max > 0, "a step emits at least one instruction");
+        if self.emitted >= self.limit {
+            return None;
+        }
+        let program = self.program;
+        let n_funcs = program.n_functions();
+        loop {
+            let block = &program.blocks()[self.cur_block as usize];
+            let body = program.instr_lens(block);
+            let done = self.cur_instr as usize;
+            if done < body.len() {
+                // `phase.until > emitted` always holds between steps.
+                let n = ((body.len() - done) as u64)
+                    .min(max)
+                    .min(self.limit - self.emitted)
+                    .min(self.phase.until - self.emitted) as usize;
+                let lens = &body[done..done + n];
+                let addr = self.cur_addr;
+                self.cur_instr += n as u32;
+                self.cur_addr = if done + n == body.len() {
+                    block.term_addr()
+                } else {
+                    addr.add(lens.iter().map(|&l| u64::from(l)).sum())
+                };
+                self.emitted += n as u64;
+                self.phase.tick(self.emitted, n_funcs, &mut self.rng);
+                return Some(Step::Run { addr, lens });
+            }
+            // At the terminator.
+            let (len, rec) = match block.term {
+                Terminator::FallThrough => {
+                    self.enter_block(self.cur_block + 1);
+                    continue;
+                }
+                Terminator::Cond { site, len, target_block, behavior } => {
+                    let taken =
+                        behavior.resolve(&mut self.site_state[site as usize], &mut self.rng);
+                    let target = program.blocks()[target_block as usize].start;
+                    self.enter_block(if taken { target_block } else { self.cur_block + 1 });
+                    (len, BranchRec { kind: BranchKind::Conditional, taken, target })
+                }
+                Terminator::Jump { len, target_block } => {
+                    let target = self.enter_block(target_block);
+                    (len, BranchRec::taken(BranchKind::Unconditional, target))
+                }
+                Terminator::Call { len, callee } => {
+                    let callee = program.functions()[callee as usize];
+                    let target = if self.call_stack.len() < MAX_CALL_DEPTH {
+                        self.call_stack.push(self.cur_block + 1);
+                        self.enter_block(callee.first_block())
+                    } else {
+                        // At the depth cap: abbreviate the callee by
+                        // entering its final block, so its imminent return
+                        // unwinds the stack. Without this, static call
+                        // cycles (A calls B calls A) would never reach a
+                        // return instruction again.
+                        self.enter_block(callee.last_block())
+                    };
+                    (len, BranchRec::taken(BranchKind::Call, target))
+                }
+                Terminator::Return { len } => {
+                    let forced = self.emitted >= self.next_forced_dispatch;
+                    let next = if forced {
+                        // Time-slice boundary: abandon the current call
+                        // chain and dispatch into the working set.
+                        self.call_stack.clear();
+                        self.next_forced_dispatch = self.emitted + self.dispatch_interval;
+                        None
+                    } else {
+                        self.call_stack.pop()
+                    };
+                    let next = next.unwrap_or_else(|| {
+                        let f = self.phase.dispatch(&mut self.rng);
+                        program.functions()[f as usize].first_block()
+                    });
+                    let target = self.enter_block(next);
+                    (len, BranchRec::taken(BranchKind::Return, target))
+                }
+                Terminator::Indirect { site, len, behavior, .. } => {
+                    let targets = program.targets(&block.term);
+                    let idx = behavior.choose(
+                        targets.len(),
+                        &mut self.site_state[site as usize],
+                        &mut self.rng,
+                    );
+                    let target = self.enter_block(targets[idx]);
+                    (len, BranchRec::taken(BranchKind::Indirect, target))
+                }
+            };
+            self.emitted += 1;
+            self.phase.tick(self.emitted, n_funcs, &mut self.rng);
+            return Some(Step::Branch(TraceInstr::branch(block.term_addr(), len, rec)));
+        }
+    }
+
+    /// Appends the next `n` instructions (fewer if the limit comes
+    /// first) to `enc`, a whole block body at a time.
+    pub(crate) fn encode(&mut self, enc: &mut Encoder, n: u64) -> Result<(), CaptureStop> {
+        let mut left = n;
+        while left > 0 {
+            let Some(step) = self.step(left.min(enc.until_check())) else { break };
+            left -= match step {
+                Step::Run { addr, lens } => {
+                    enc.push_run(addr, lens)?;
+                    lens.len() as u64
+                }
+                Step::Branch(instr) => {
+                    enc.push(&instr)?;
+                    1
+                }
+            };
+            enc.check_budget()?;
+        }
+        Ok(())
     }
 }
 
@@ -227,100 +380,10 @@ impl Iterator for Walker<'_> {
     type Item = TraceInstr;
 
     fn next(&mut self) -> Option<TraceInstr> {
-        if self.emitted >= self.limit {
-            return None;
-        }
-        loop {
-            let func = &self.program.functions[self.cur_func as usize];
-            let block = &func.blocks[self.cur_block as usize];
-            if self.cur_instr < block.instr_lens.len() {
-                let len = block.instr_lens[self.cur_instr];
-                let instr = TraceInstr::plain(self.cur_addr, len);
-                self.cur_instr += 1;
-                self.cur_addr = self.cur_addr.add(len as u64);
-                self.emitted += 1;
-                self.phase.tick(self.emitted, self.program.n_functions(), &mut self.rng);
-                return Some(instr);
-            }
-            // At the terminator.
-            let term_addr = block.term_addr();
-            let n_blocks = func.blocks.len() as u32;
-            let cur_func = self.cur_func;
-            let cur_block = self.cur_block;
-            let rec: Option<(u8, BranchRec)> = match &block.term {
-                Terminator::FallThrough => {
-                    debug_assert!(cur_block + 1 < n_blocks);
-                    self.enter_block(cur_func, cur_block + 1);
-                    continue;
-                }
-                Terminator::Cond { site, len, target_block, behavior } => {
-                    let taken =
-                        behavior.resolve(&mut self.site_state[*site as usize], &mut self.rng);
-                    let target = self.block_start(cur_func, *target_block);
-                    if taken {
-                        self.enter_block(cur_func, *target_block);
-                    } else {
-                        self.enter_block(cur_func, cur_block + 1);
-                    }
-                    Some((*len, BranchRec { kind: BranchKind::Conditional, taken, target }))
-                }
-                Terminator::Jump { len, target_block } => {
-                    let target = self.block_start(cur_func, *target_block);
-                    self.enter_block(cur_func, *target_block);
-                    Some((*len, BranchRec::taken(BranchKind::Unconditional, target)))
-                }
-                Terminator::Call { len, callee } => {
-                    let target = if self.call_stack.len() < MAX_CALL_DEPTH {
-                        self.call_stack.push((cur_func, cur_block + 1));
-                        self.enter_block(*callee, 0);
-                        self.program.functions[*callee as usize].entry
-                    } else {
-                        // At the depth cap: abbreviate the callee by
-                        // entering its final block, so its imminent return
-                        // unwinds the stack. Without this, static call
-                        // cycles (A calls B calls A) would never reach a
-                        // return instruction again.
-                        let last = self.program.functions[*callee as usize].blocks.len() as u32 - 1;
-                        self.enter_block(*callee, last);
-                        self.cur_addr
-                    };
-                    Some((*len, BranchRec::taken(BranchKind::Call, target)))
-                }
-                Terminator::Return { len } => {
-                    let forced = self.emitted >= self.next_forced_dispatch;
-                    let (f, b) = if forced {
-                        // Time-slice boundary: abandon the current call
-                        // chain and dispatch into the working set.
-                        self.call_stack.clear();
-                        self.next_forced_dispatch = self.emitted + self.dispatch_interval;
-                        (self.phase.dispatch(&mut self.rng), 0)
-                    } else {
-                        match self.call_stack.pop() {
-                            Some(cont) => cont,
-                            None => (self.phase.dispatch(&mut self.rng), 0),
-                        }
-                    };
-                    let target = self.block_start(f, b);
-                    self.enter_block(f, b);
-                    Some((*len, BranchRec::taken(BranchKind::Return, target)))
-                }
-                Terminator::Indirect { site, len, targets, behavior } => {
-                    let idx = behavior.choose(
-                        targets.len(),
-                        &mut self.site_state[*site as usize],
-                        &mut self.rng,
-                    );
-                    let tb = targets[idx];
-                    let target = self.block_start(cur_func, tb);
-                    self.enter_block(cur_func, tb);
-                    Some((*len, BranchRec::taken(BranchKind::Indirect, target)))
-                }
-            };
-            let (len, rec) = rec.expect("all non-fallthrough terminators emit");
-            self.emitted += 1;
-            self.phase.tick(self.emitted, self.program.n_functions(), &mut self.rng);
-            return Some(TraceInstr::branch(term_addr, len, rec));
-        }
+        Some(match self.step(1)? {
+            Step::Run { addr, lens } => TraceInstr::plain(addr, lens[0]),
+            Step::Branch(instr) => instr,
+        })
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -399,7 +462,7 @@ mod tests {
         let params =
             LayoutParams { target_sites: 3000, phase_len: 15_000, ..LayoutParams::small_test() };
         let p = Program::generate(&params, 9);
-        let entries: HashSet<u64> = p.functions.iter().map(|f| f.entry.raw()).collect();
+        let entries: HashSet<u64> = p.functions().iter().map(|f| f.entry.raw()).collect();
         let mut seen = HashSet::new();
         for i in Walker::new(&p, 4, 400_000) {
             if entries.contains(&i.addr.raw()) {

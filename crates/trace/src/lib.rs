@@ -76,6 +76,21 @@ pub trait Trace {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Feeds the full stream to a compact encoder — the body of
+    /// [`CompactTrace::capture_within_into`]. The default pushes each
+    /// record of [`Trace::iter`]; the synthetic generators override it
+    /// to append whole block bodies at once, producing identical
+    /// streams.
+    ///
+    /// # Errors
+    ///
+    /// Returns the encoder's [`compact::CaptureStop`] (unencodable
+    /// record or exhausted byte budget); the caller recovers the
+    /// buffers.
+    fn encode_compact(&self, enc: &mut compact::Encoder) -> Result<(), compact::CaptureStop> {
+        enc.push_records(self.iter())
+    }
 }
 
 /// An in-memory trace: a plain vector of records.

@@ -5,6 +5,7 @@
 //! matching workload ([`WorkloadProfile::build`]). Trace 5 and the two
 //! hardware workloads are time-sliced mixes (see [`crate::gen::mix`]).
 
+use crate::compact::{CaptureStop, Encoder};
 use crate::gen::layout::LayoutParams;
 use crate::gen::mix::{MixIter, MixTrace};
 use crate::gen::walker::Walker;
@@ -289,6 +290,13 @@ impl Trace for ProfileTrace {
         match self {
             ProfileTrace::Single(t) => t.len(),
             ProfileTrace::Mix(t) => t.len(),
+        }
+    }
+
+    fn encode_compact(&self, enc: &mut Encoder) -> Result<(), CaptureStop> {
+        match self {
+            ProfileTrace::Single(t) => t.encode_compact(enc),
+            ProfileTrace::Mix(t) => t.encode_compact(enc),
         }
     }
 }

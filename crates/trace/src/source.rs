@@ -16,6 +16,7 @@
 //! bytes, so a renamed or moved trace file hits the same entries and a
 //! modified one can never alias them.
 
+use crate::compact::{CaptureStop, Encoder};
 use crate::ingest::ExternalTrace;
 use crate::profile::{ProfileTrace, WorkloadProfile};
 use crate::store::TraceStoreKey;
@@ -209,6 +210,13 @@ impl Trace for SourceTrace<'_> {
         match self {
             Self::Synthetic(t) => t.len(),
             Self::External { len, .. } => *len,
+        }
+    }
+
+    fn encode_compact(&self, enc: &mut Encoder) -> Result<(), CaptureStop> {
+        match self {
+            Self::Synthetic(t) => t.encode_compact(enc),
+            Self::External { .. } => enc.push_records(self.iter()),
         }
     }
 }

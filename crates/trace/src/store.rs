@@ -22,32 +22,41 @@
 //! magic "ZBPC" | version u32 | key_len u32, key | name_len u32, name
 //! start u64 | total u64 | tail_gap u64
 //! n_points u64 | n_code_bytes u64 | n_far u64
-//! fnv1a64(points) | fnv1a64(codes) | fnv1a64(far)      per-stream digests
+//! sum(points) | sum(codes) | sum(far)                  per-stream checksums
 //! points  n_points x (gap u32, target_delta i32, flags u16)
 //! codes   n_code_bytes
 //! far     n_far x u64
 //! ```
 //!
+//! The per-stream checksum (`stream_checksum`, format version 2) runs
+//! four FNV-style multiply lanes over little-endian `u64` words and folds
+//! them, so it hashes at memory speed; version 1 hashed each stream a
+//! byte at a time with FNV-1a. Every step is a bijection of its lane, so
+//! any corruption confined to one 8-byte word — in particular any single
+//! flipped bit — always changes the checksum. Key digests (the file
+//! names) keep FNV-1a, because cell keys and manifests embed them.
+//!
 //! Integrity is layered: the declared counts must account for the file
 //! size exactly (so a flipped count byte cannot trigger a bogus
-//! allocation), each stream's FNV-1a digest must match before decode,
+//! allocation), each stream's checksum must match before decode,
 //! and [`CompactTrace::from_parts`] re-checks the structural invariants
 //! replay relies on. A load that passes all three replays bit-identically
 //! to the capture that wrote it.
 
-use crate::compact::{BranchPoint, CompactParts, CompactTrace, PartsError};
+use crate::compact::{check_parts, BranchPoint, CompactParts, CompactTrace, PartsError};
 use crate::InstAddr;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use zbp_support::hash::{fnv1a_64, fnv1a_64_hex};
+use zbp_support::hash::fnv1a_64_hex;
 
 const MAGIC: &[u8; 4] = b"ZBPC";
 
 /// On-disk schema version; bump on any layout change. The version is
 /// also folded into the key rendering, so entries written by a
-/// different schema miss by filename before they are ever opened.
-pub const STORE_VERSION: u32 = 1;
+/// different schema miss by filename before they are ever opened
+/// (version-1 files are orphaned and safe to delete).
+pub const STORE_VERSION: u32 = 2;
 
 /// Serialized bytes per branch point (`gap`, `target_delta`, `flags` —
 /// no padding, unlike the in-memory `repr(C)` layout).
@@ -122,13 +131,13 @@ pub enum StoreError {
         /// Actual file size.
         got: u64,
     },
-    /// A stream's content digest does not match its header digest.
+    /// A stream's content checksum does not match its header checksum.
     DigestMismatch {
         /// Which stream failed (`points` / `codes` / `far`).
         stream: &'static str,
-        /// Digest recorded in the header.
+        /// Checksum recorded in the header.
         expected: u64,
-        /// Digest of the bytes actually read.
+        /// Checksum of the bytes actually read.
         got: u64,
     },
     /// Streams decoded cleanly but violate replay invariants.
@@ -255,7 +264,7 @@ impl TraceStore {
     pub fn load(
         &self,
         key: &TraceStoreKey,
-        parts: CompactParts,
+        mut parts: CompactParts,
     ) -> Result<CompactTrace, CompactParts> {
         if !self.is_enabled() {
             return Err(parts);
@@ -278,7 +287,7 @@ impl TraceStore {
                 return Err(parts);
             }
         };
-        match decode_entry(&data, Some(key), parts) {
+        match decode_entry(&data, Some(key), &mut parts) {
             Ok(Some(trace)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Ok(trace)
@@ -287,7 +296,7 @@ impl TraceStore {
                 // Digest collision: a different key owns this file.
                 // Leave it for its owner and regenerate ours.
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                Err(CompactParts::default())
+                Err(parts)
             }
             Err(e) => {
                 // Warn only when this process actually removed the
@@ -304,7 +313,7 @@ impl TraceStore {
                     ),
                 }
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                Err(CompactParts::default())
+                Err(parts)
             }
         }
     }
@@ -321,7 +330,49 @@ impl TraceStore {
     }
 }
 
-/// Serializes `trace` into the on-disk entry layout.
+/// Checksum of one serialized stream (format version 2): four FNV-style
+/// lanes, each xor-multiply-rotating one little-endian `u64` word in
+/// turn, folded together with the byte length. A short final word is
+/// zero-padded; the folded length tells padding from real zeros.
+pub(crate) fn stream_checksum(bytes: &[u8]) -> u64 {
+    // The FNV-1a 64 offset basis and prime.
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    // A dense odd multiplier mixes a word into every higher lane bit;
+    // the rotation feeds the high bits back down. Both are bijective.
+    const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+    #[inline(always)]
+    fn mix(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(LANE_MUL).rotate_left(29)
+    }
+    let mut lanes =
+        [OFFSET, OFFSET.rotate_left(16), OFFSET.rotate_left(32), OFFSET.rotate_left(48)];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, u64::from_le_bytes(word.try_into().expect("8-byte word")));
+        }
+    }
+    for (lane, word) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut padded = [0u8; 8];
+        padded[..word.len()].copy_from_slice(word);
+        *lane = mix(*lane, u64::from_le_bytes(padded));
+    }
+    let mut h = OFFSET;
+    for v in lanes.into_iter().chain([bytes.len() as u64]) {
+        h = (h ^ v).wrapping_mul(PRIME);
+    }
+    // Final avalanche (the murmur3 finalizer).
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Serializes `trace` into the on-disk entry layout, writing each
+/// stream straight into the output buffer and patching the header's
+/// checksums afterwards.
 pub fn encode_entry(key: &TraceStoreKey, trace: &CompactTrace) -> Vec<u8> {
     let points = trace.branch_points();
     let codes = trace.len_code_stream();
@@ -329,28 +380,9 @@ pub fn encode_entry(key: &TraceStoreKey, trace: &CompactTrace) -> Vec<u8> {
     let key_bytes = key.rendered().as_bytes();
     let name_bytes = crate::Trace::name(trace).as_bytes();
 
-    let mut point_bytes = Vec::with_capacity(points.len() * POINT_BYTES);
-    for p in points {
-        point_bytes.extend_from_slice(&p.gap.to_le_bytes());
-        point_bytes.extend_from_slice(&p.target_delta.to_le_bytes());
-        point_bytes.extend_from_slice(&p.flags.to_le_bytes());
-    }
-    let mut far_bytes = Vec::with_capacity(far.len() * 8);
-    for w in far {
-        far_bytes.extend_from_slice(&w.to_le_bytes());
-    }
-
-    let mut out = Vec::with_capacity(
-        4 + 4
-            + 4
-            + key_bytes.len()
-            + 4
-            + name_bytes.len()
-            + 9 * 8
-            + point_bytes.len()
-            + codes.len()
-            + far_bytes.len(),
-    );
+    let header = 4 + 4 + 4 + key_bytes.len() + 4 + name_bytes.len() + 9 * 8;
+    let body = points.len() * POINT_BYTES + codes.len() + far.len() * 8;
+    let mut out = Vec::with_capacity(header + body);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&STORE_VERSION.to_le_bytes());
     out.extend_from_slice(&(key_bytes.len() as u32).to_le_bytes());
@@ -363,22 +395,42 @@ pub fn encode_entry(key: &TraceStoreKey, trace: &CompactTrace) -> Vec<u8> {
     out.extend_from_slice(&(points.len() as u64).to_le_bytes());
     out.extend_from_slice(&(codes.len() as u64).to_le_bytes());
     out.extend_from_slice(&(far.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a_64(&point_bytes).to_le_bytes());
-    out.extend_from_slice(&fnv1a_64(codes).to_le_bytes());
-    out.extend_from_slice(&fnv1a_64(&far_bytes).to_le_bytes());
-    out.extend_from_slice(&point_bytes);
+    // The checksums (patched once the streams are written) and points.
+    let sums_at = out.len();
+    out.resize(header + points.len() * POINT_BYTES, 0);
+    for (rec, p) in out[header..].chunks_exact_mut(POINT_BYTES).zip(points) {
+        rec[0..4].copy_from_slice(&p.gap.to_le_bytes());
+        rec[4..8].copy_from_slice(&p.target_delta.to_le_bytes());
+        rec[8..10].copy_from_slice(&p.flags.to_le_bytes());
+    }
+    let codes_at = out.len();
     out.extend_from_slice(codes);
-    out.extend_from_slice(&far_bytes);
+    let far_at = out.len();
+    out.resize(far_at + far.len() * 8, 0);
+    for (rec, w) in out[far_at..].chunks_exact_mut(8).zip(far) {
+        rec.copy_from_slice(&w.to_le_bytes());
+    }
+
+    let sums = [
+        stream_checksum(&out[header..codes_at]),
+        stream_checksum(&out[codes_at..far_at]),
+        stream_checksum(&out[far_at..]),
+    ];
+    for (slot, sum) in out[sums_at..header].chunks_exact_mut(8).zip(sums) {
+        slot.copy_from_slice(&sum.to_le_bytes());
+    }
     out
 }
 
-/// Parses a serialized entry. Returns `Ok(None)` when `expect_key` is
-/// given and the embedded key differs (digest collision — not
-/// corruption). The recycled `parts` buffers back the decoded streams.
+/// Parses a serialized entry into the recycled `parts` buffers. Returns
+/// `Ok(None)` when `expect_key` is given and the embedded key differs
+/// (digest collision — not corruption). A decoded trace takes the
+/// buffers out of `parts`; on `Ok(None)` and on every error `parts`
+/// keeps them (and their capacity) for the caller's fallback capture.
 pub fn decode_entry(
     data: &[u8],
     expect_key: Option<&TraceStoreKey>,
-    parts: CompactParts,
+    parts: &mut CompactParts,
 ) -> Result<Option<CompactTrace>, StoreError> {
     let mut r = Reader { data, pos: 0 };
     if r.take(4)? != MAGIC {
@@ -403,9 +455,9 @@ pub fn decode_entry(
     let n_points = r.u64()?;
     let n_codes = r.u64()?;
     let n_far = r.u64()?;
-    let digest_points = r.u64()?;
-    let digest_codes = r.u64()?;
-    let digest_far = r.u64()?;
+    let sum_points = r.u64()?;
+    let sum_codes = r.u64()?;
+    let sum_far = r.u64()?;
 
     // The counts must account for the remaining bytes exactly, so a
     // flipped count byte fails here instead of driving an allocation.
@@ -423,37 +475,37 @@ pub fn decode_entry(
     let code_bytes = r.take(n_codes)?;
     let far_bytes = r.take(n_far * 8)?;
     for (stream, bytes, expected) in [
-        ("points", point_bytes, digest_points),
-        ("codes", code_bytes, digest_codes),
-        ("far", far_bytes, digest_far),
+        ("points", point_bytes, sum_points),
+        ("codes", code_bytes, sum_codes),
+        ("far", far_bytes, sum_far),
     ] {
-        let got = fnv1a_64(bytes);
+        let got = stream_checksum(bytes);
         if got != expected {
             return Err(StoreError::DigestMismatch { stream, expected, got });
         }
     }
 
-    let (mut points, mut len_codes, mut far) = parts.into_buffers();
+    let (mut points, mut len_codes, mut far) = std::mem::take(parts).into_buffers();
     points.clear();
-    points.reserve(point_bytes.len() / POINT_BYTES);
-    for c in point_bytes.chunks_exact(POINT_BYTES) {
-        points.push(BranchPoint {
-            gap: u32::from_le_bytes(c[0..4].try_into().unwrap()),
-            target_delta: i32::from_le_bytes(c[4..8].try_into().unwrap()),
-            flags: u16::from_le_bytes(c[8..10].try_into().unwrap()),
-        });
-    }
+    points.extend(point_bytes.chunks_exact(POINT_BYTES).map(|c| BranchPoint {
+        gap: u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
+        target_delta: i32::from_le_bytes([c[4], c[5], c[6], c[7]]),
+        flags: u16::from_le_bytes([c[8], c[9]]),
+    }));
     len_codes.clear();
     len_codes.extend_from_slice(code_bytes);
     far.clear();
-    far.reserve(far_bytes.len() / 8);
-    for c in far_bytes.chunks_exact(8) {
-        far.push(u64::from_le_bytes(c.try_into().unwrap()));
-    }
+    far.extend(
+        far_bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
+    );
 
-    CompactTrace::from_parts(&name, start, total, tail_gap, points, len_codes, far)
-        .map(Some)
-        .map_err(StoreError::Inconsistent)
+    if let Err(e) = check_parts(total, tail_gap, &points, &len_codes, &far) {
+        *parts = CompactParts::from_buffers(points, len_codes, far);
+        return Err(StoreError::Inconsistent(e));
+    }
+    Ok(Some(CompactTrace::from_checked_parts(
+        &name, start, total, tail_gap, points, len_codes, far,
+    )))
 }
 
 fn write_atomic(
@@ -593,7 +645,7 @@ mod tests {
         let mut data = encode_entry(&key, &trace);
         let n = data.len();
         data[n - 1] ^= 0x40; // flip a bit in the last stream byte
-        let err = decode_entry(&data, Some(&key), CompactParts::default()).unwrap_err();
+        let err = decode_entry(&data, Some(&key), &mut CompactParts::default()).unwrap_err();
         assert!(matches!(err, StoreError::DigestMismatch { .. }), "got {err}");
         assert!(err.to_string().contains("digest mismatch"));
     }
@@ -605,7 +657,7 @@ mod tests {
         // n_points lives right after start/total/tail_gap; blow it up.
         let off = 4 + 4 + 4 + key.rendered().len() + 4 + sample_trace(1_000).name().len() + 24;
         data[off..off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = decode_entry(&data, Some(&key), CompactParts::default()).unwrap_err();
+        let err = decode_entry(&data, Some(&key), &mut CompactParts::default()).unwrap_err();
         assert!(matches!(err, StoreError::SizeMismatch { .. }), "got {err}");
     }
 
@@ -613,7 +665,7 @@ mod tests {
     fn truncated_header_names_the_offset() {
         let key = TraceStoreKey::workload("{\"p\":5}", 3, 1_000);
         let data = encode_entry(&key, &sample_trace(1_000));
-        let err = decode_entry(&data[..10], Some(&key), CompactParts::default()).unwrap_err();
+        let err = decode_entry(&data[..10], Some(&key), &mut CompactParts::default()).unwrap_err();
         match err {
             StoreError::Truncated { offset, .. } => assert_eq!(offset, 8),
             other => panic!("expected Truncated, got {other}"),
@@ -679,8 +731,160 @@ mod tests {
         .expect("consistent parts");
         let key = TraceStoreKey::workload("{\"escapes\":true}", 1, total);
         let data = encode_entry(&key, &trace);
-        let back = decode_entry(&data, Some(&key), CompactParts::default()).unwrap().unwrap();
+        let back = decode_entry(&data, Some(&key), &mut CompactParts::default()).unwrap().unwrap();
         assert_identical(&trace, &back);
+    }
+
+    /// A two-part mix of small programs: slice switches put
+    /// discontinuity words in the far stream, so all three streams are
+    /// non-empty.
+    fn mixed_trace(len: u64) -> CompactTrace {
+        use crate::gen::layout::LayoutParams;
+        use crate::gen::mix::MixTrace;
+        use crate::gen::GenTrace;
+        let part = |base: u64, seed: u64| {
+            let params = LayoutParams { base_addr: base, ..LayoutParams::small_test() };
+            GenTrace::new("part", &params, seed, len)
+        };
+        let mix = MixTrace::new("mix", vec![part(0x0100_0000, 1), part(0x4000_0000, 2)], 97, len);
+        CompactTrace::capture(&mix).unwrap()
+    }
+
+    #[test]
+    fn corrupt_or_collided_loads_hand_back_the_recycled_buffers() {
+        let dir = scratch("recycle");
+        let store = TraceStore::at(&dir);
+        let key = TraceStoreKey::workload("{\"p\":7}", 3, 4_000);
+        let trace = sample_trace(4_000);
+        store.store(&key, &trace);
+        let capacity = |parts: CompactParts| {
+            let (p, c, f) = parts.into_buffers();
+            (p.capacity(), c.capacity(), f.capacity())
+        };
+        let recycled = || {
+            CompactParts::from_buffers(
+                Vec::with_capacity(1_000),
+                Vec::with_capacity(2_000),
+                Vec::with_capacity(30),
+            )
+        };
+        // Collision: another key owns the file.
+        let intruder =
+            TraceStoreKey { rendered: "something else".into(), digest: key.digest().into() };
+        let back = store.load(&intruder, recycled()).unwrap_err();
+        assert_eq!(capacity(back), (1_000, 2_000, 30));
+        // Corruption caught by the checksum (the stream bytes are last).
+        let path = store.path_for(&key).unwrap();
+        let mut data = std::fs::read(&path).unwrap();
+        let n = data.len();
+        data[n - 1] ^= 1;
+        std::fs::write(&path, &data).unwrap();
+        let back = store.load(&key, recycled()).unwrap_err();
+        assert_eq!(capacity(back), (1_000, 2_000, 30));
+        assert!(!path.exists(), "corrupt entry must be deleted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn inconsistent_streams_hand_back_the_filled_buffers() {
+        // Valid checksums over streams that break a replay invariant:
+        // claim one instruction more than the streams encode.
+        let trace = mixed_trace(2_000);
+        let lie = CompactTrace::from_checked_parts(
+            "lie",
+            trace.start_addr(),
+            trace.len() + 4,
+            trace.tail_gap(),
+            trace.branch_points().to_vec(),
+            [trace.len_code_stream(), &[0]].concat(),
+            trace.far_stream().to_vec(),
+        );
+        let key = TraceStoreKey::workload("{\"p\":8}", 3, 2_004);
+        let data = encode_entry(&key, &lie);
+        let mut parts = CompactParts::default();
+        let err = decode_entry(&data, Some(&key), &mut parts).unwrap_err();
+        assert!(matches!(err, StoreError::Inconsistent(_)), "got {err}");
+        let (points, codes, far) = parts.into_buffers();
+        assert!(points.capacity() >= trace.branch_points().len());
+        assert!(codes.capacity() >= trace.len_code_stream().len());
+        assert!(far.capacity() >= trace.far_stream().len());
+    }
+
+    #[test]
+    fn single_bit_flips_in_every_stream_are_checksum_mismatches() {
+        use zbp_support::rng::SmallRng;
+        let key = TraceStoreKey::workload("{\"p\":9}", 5, 20_000);
+        let trace = mixed_trace(20_000);
+        assert!(!trace.far_stream().is_empty(), "the mix must exercise the far stream");
+        let data = encode_entry(&key, &trace);
+        let header = 4 + 4 + 4 + key.rendered().len() + 4 + trace.name().len() + 9 * 8;
+        let codes_at = header + trace.branch_points().len() * POINT_BYTES;
+        let far_at = codes_at + trace.len_code_stream().len();
+        assert_eq!(far_at + trace.far_stream().len() * 8, data.len());
+        let mut rng = SmallRng::seed_from_u64(0x5EED);
+        for (name, lo, hi) in
+            [("points", header, codes_at), ("codes", codes_at, far_at), ("far", far_at, data.len())]
+        {
+            for _ in 0..64 {
+                let bit = rng.random_range(0..(hi - lo) * 8);
+                let mut bad = data.clone();
+                bad[lo + bit / 8] ^= 1 << (bit % 8);
+                match decode_entry(&bad, Some(&key), &mut CompactParts::default()) {
+                    Err(StoreError::DigestMismatch { stream, .. }) => assert_eq!(stream, name),
+                    other => {
+                        panic!("{name} bit {bit}: expected a checksum mismatch, got {other:?}")
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn every_table4_profile_roundtrips_through_an_entry() {
+        for profile in WorkloadProfile::all_table4() {
+            let trace = CompactTrace::capture(&profile.build_with_len(0xEC12, 20_000)).unwrap();
+            let key = TraceStoreKey::workload(&profile.name, 0xEC12, 20_000);
+            let data = encode_entry(&key, &trace);
+            let back = decode_entry(&data, Some(&key), &mut CompactParts::default())
+                .unwrap()
+                .expect("own key");
+            assert_identical(&trace, &back);
+        }
+    }
+
+    #[test]
+    fn version_one_entries_are_never_opened() {
+        // A file at the name the version-1 key rendering hashed to: the
+        // current key names a different file, so the load is a plain
+        // miss that neither reads nor deletes the orphan.
+        let dir = scratch("v1");
+        let store = TraceStore::at(&dir);
+        let (profile, seed, len) = ("{\"p\":10}", 3u64, 1_000u64);
+        let key = TraceStoreKey::workload(profile, seed, len);
+        let v1_digest =
+            fnv1a_64_hex(&format!("zbp-trace-v1|seed={seed}|len={len}|profile={profile}"));
+        assert_ne!(v1_digest, key.digest());
+        std::fs::create_dir_all(&dir).unwrap();
+        let orphan = dir.join(format!("{v1_digest}.zbpc"));
+        let mut v1 = encode_entry(&key, &sample_trace(len));
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&orphan, &v1).unwrap();
+        assert!(store.load(&key, CompactParts::default()).is_err());
+        assert_eq!(store.stats(), TraceStoreStats { hits: 0, misses: 1 });
+        assert!(orphan.exists(), "a v1 file is never opened, so never deleted as corrupt");
+        // Opened anyway, it would be rejected by version, not misread.
+        let err = decode_entry(&v1, Some(&key), &mut CompactParts::default()).unwrap_err();
+        assert!(matches!(err, StoreError::BadVersion(1)), "got {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checksum_tells_zero_padding_from_zero_bytes() {
+        let sums: Vec<u64> = (0..40).map(|n| stream_checksum(&vec![0u8; n])).collect();
+        for (i, a) in sums.iter().enumerate() {
+            assert!(sums[i + 1..].iter().all(|b| b != a), "length {i} collides");
+        }
     }
 
     #[test]

@@ -154,6 +154,7 @@ fn backward_and_forward_targets_span_blocks() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn generator_profiles_roundtrip() {
     // The real consumers: every Table 4 profile's synthetic stream must
     // compact-encode and decode back to the generator's exact records.
@@ -166,6 +167,7 @@ fn generator_profiles_roundtrip() {
 }
 
 #[test]
+#[cfg_attr(miri, ignore)]
 fn compact_is_under_a_third_of_record_bytes_on_fig2_workloads() {
     // The headline claim of the encoding: on the figure-2 grid's
     // workloads it stores the stream in less than a third of the record

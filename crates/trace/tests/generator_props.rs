@@ -28,28 +28,40 @@ fn programs_are_structurally_sound() {
         assert!(p.n_functions() > 0);
         assert!(p.reachable_sites > 0);
         assert!(p.reachable_taken_sites <= p.reachable_sites);
-        for f in &p.functions {
-            assert!(!f.blocks.is_empty());
-            let ends_in_return = matches!(f.blocks.last().unwrap().term, Terminator::Return { .. });
+        let mut next_block = 0;
+        for f in p.functions() {
+            // Functions tile the flat block array in order.
+            assert_eq!(f.first_block(), next_block);
+            next_block = f.last_block() + 1;
+            let blocks = p.function_blocks(f);
+            assert!(!blocks.is_empty());
+            assert_eq!(blocks[0].start, f.entry);
+            let ends_in_return = matches!(blocks.last().unwrap().term, Terminator::Return { .. });
             assert!(ends_in_return);
             // Blocks contiguous and targets in range.
-            let n = f.blocks.len() as u32;
-            for w in f.blocks.windows(2) {
+            let range = f.first_block()..=f.last_block();
+            for w in blocks.windows(2) {
                 assert_eq!(w[0].start.add(w[0].size_bytes()), w[1].start);
             }
-            for b in &f.blocks {
-                match &b.term {
+            for b in blocks {
+                let body: u64 = p.instr_lens(b).iter().map(|&l| u64::from(l)).sum();
+                assert_eq!(b.term_addr(), b.start.add(body));
+                match b.term {
                     Terminator::Cond { target_block, .. }
-                    | Terminator::Jump { target_block, .. } => assert!(*target_block < n),
-                    Terminator::Indirect { targets, .. } => {
-                        assert!(!targets.is_empty());
-                        assert!(targets.iter().all(|&t| t < n));
+                    | Terminator::Jump { target_block, .. } => {
+                        assert!(range.contains(&target_block))
                     }
-                    Terminator::Call { callee, .. } => assert!(*callee < p.n_functions()),
+                    Terminator::Indirect { .. } => {
+                        let targets = p.targets(&b.term);
+                        assert!(!targets.is_empty());
+                        assert!(targets.iter().all(|t| range.contains(t)));
+                    }
+                    Terminator::Call { callee, .. } => assert!(callee < p.n_functions()),
                     _ => {}
                 }
             }
         }
+        assert_eq!(next_block as usize, p.blocks().len());
     }
 }
 

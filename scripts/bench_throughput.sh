@@ -48,6 +48,9 @@ entry = {
     "seed": report.get("seed"),
     "generate_mips": report.get("generate_mips"),
     "encode_mips": report.get("encode_mips"),
+    # Production block-emission capture (null in lines written before
+    # it was timed).
+    "capture_mips": report.get("capture_mips"),
     "replay_mips": report.get("replay_mips"),
     "replay_record_mips": report.get("replay_record_mips"),
     "shared_mips": report.get("shared_mips"),
