@@ -1,11 +1,11 @@
-//! Microbenchmarks of the two replay hot paths introduced by the compact
-//! trace encoding: the `BtbArray::entries_in_line_into` row read that the
-//! bulk-transfer drain loops over, and the compact branch-point decode
-//! loop that run-batched replay advances through. Per-instruction replay
-//! costs for both trace forms are reported alongside — plus the
-//! decode-once lane kernel at widths 1/2/4/8, as per-lane ns/instr — so
-//! a regression in either inner loop shows up as ns/instr, not just as
-//! a slower grid.
+//! Microbenchmarks of the replay hot paths: the
+//! `BtbArray::entries_in_line_into` row read that the bulk-transfer
+//! drain loops over, and the compact branch-point decode that the lane
+//! kernel advances through. Per-instruction replay costs are reported
+//! alongside — the kernel per Table-3 column and at widths 1/2/4/8 (as
+//! per-lane ns/instr), plus one row for the record reference path the
+//! differential oracle checks it against — so a regression in either
+//! inner loop shows up as ns/instr, not just as a slower grid.
 //!
 //! Timed with the same hand-rolled [`std::time::Instant`] harness as the
 //! `structures` bench (the workspace builds offline, without criterion).
@@ -103,26 +103,23 @@ fn bench_compact_decode(compact: &CompactTrace, instructions: u64) {
     println!("{:<40} {:>12.2} ns/instr", "compact/decode_lut_per_instr", ns / instructions as f64);
 }
 
-/// The run-batched cycle-accounting loop in isolation: a branch-free
+/// The lane kernel's cycle accounting in isolation: a branch-free
 /// straight-line trace compiles to one giant run, so the whole replay is
-/// the `step_run` group loop (LUT decode + serial f64 cycle additions +
-/// line-transition checks) with almost no predictor work.
-fn bench_run_batched_accounting() {
+/// the span decode (LUT walk + line-transition checks) and one
+/// closed-form tick charge per same-line span, with almost no predictor
+/// work.
+fn bench_kernel_accounting() {
     const LEN: u64 = 200_000;
     let v: Vec<TraceInstr> =
         (0..LEN).map(|i| TraceInstr::plain(InstAddr::new(0x10_0000 + i * 4), 4)).collect();
     let gen = VecTrace::new("straightline", v);
     let compact = CompactTrace::capture(&gen).expect("straight-line code compact-encodes");
     let config = SimConfig::btb2_enabled();
-    let ns = bench("replay/run_batched_accounting", 20, || {
+    let ns = bench("replay/kernel_accounting", 20, || {
         let model = CoreModel::new(config.uarch, config.predictor.clone());
         black_box(model.run_compact(&compact).cycles);
     });
-    println!(
-        "{:<40} {:>12.2} ns/instr",
-        "replay/run_batched_accounting_per_instr",
-        ns / LEN as f64
-    );
+    println!("{:<40} {:>12.2} ns/instr", "replay/kernel_accounting_per_instr", ns / LEN as f64);
 }
 
 fn bench_replay(gen: &impl Trace, compact: &CompactTrace, instructions: u64) {
@@ -134,6 +131,8 @@ fn bench_replay(gen: &impl Trace, compact: &CompactTrace, instructions: u64) {
         });
         println!("{:<40} {:>12.2} ns/instr", format!("{name}_per_instr"), ns / instructions as f64);
     }
+    // The record reference path: the oracle's cost, not a production
+    // path.
     let config = SimConfig::btb2_enabled();
     let mat = MaterializedTrace::capture(gen);
     let ns = bench("replay/record[BTB2 enabled]", 10, || {
@@ -183,5 +182,5 @@ fn main() {
     bench_compact_decode(&compact, LEN);
     bench_replay(&gen, &compact, LEN);
     bench_lane_replay(&compact, LEN);
-    bench_run_batched_accounting();
+    bench_kernel_accounting();
 }

@@ -280,6 +280,19 @@ fn unknown_experiments_get_a_404_with_a_suggestion() {
 }
 
 #[test]
+fn a_deeply_nested_body_gets_a_400_and_the_daemon_keeps_serving() {
+    let server = boot("deep", 2_000);
+    // 200 000 open brackets: under the body cap, far past the parser's
+    // nesting limit.
+    let (status, body) = http(server.addr, "POST", "/run", &"[".repeat(200_000));
+    assert_eq!(status, 400);
+    assert!(body.contains("nesting deeper than"), "typed parse error: {body}");
+    let (status, body) = http(server.addr, "GET", "/", "");
+    assert_eq!(status, 200, "daemon still serves: {body}");
+    server.stop();
+}
+
+#[test]
 fn info_experiments_and_metrics_endpoints_respond() {
     let server = boot("info", 2_000);
     let (status, body) = http(server.addr, "GET", "/", "");

@@ -28,8 +28,9 @@ use zbp_support::json::{Json, ToJson};
 /// results, artifact manifests, and the simulation behavior behind
 /// them. Bump whenever simulator semantics or the serialized layout
 /// change — old cache entries and artifacts are then rejected instead
-/// of silently reused.
-pub const SCHEMA_VERSION: u32 = 1;
+/// of silently reused. Version 2: cycles are exact integer ticks
+/// (version-1 entries carry float-accumulated cycle counts).
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Identity of one cacheable cell, rendered as a canonical key string.
 ///

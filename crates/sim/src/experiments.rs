@@ -10,7 +10,6 @@
 //! command-line flags layered over them ([`RunFlags`]).
 
 use crate::config::SimConfig;
-use crate::parallel::par_map;
 use crate::report::ImprovementRow;
 use crate::session::SessionGrid;
 use std::path::{Path, PathBuf};
@@ -20,8 +19,9 @@ use zbp_predictor::tracker::FilterMode;
 use zbp_predictor::PredictorConfig;
 use zbp_trace::profile::WorkloadProfile;
 use zbp_trace::source::WorkloadSource;
-use zbp_trace::{TraceStats, TraceStore};
+use zbp_trace::{CompactParts, CompactTrace, TraceStats, TraceStore};
 use zbp_uarch::classify::OutcomeCounts;
+use zbp_uarch::core::{CoreModel, LaneGroup};
 
 /// Global experiment options.
 #[derive(Debug, Clone)]
@@ -37,11 +37,6 @@ pub struct ExperimentOptions {
     /// Cell-cache directory override (`None` = the front end's default,
     /// `results/cache/` for the CLI and the daemon).
     pub cache_dir: Option<PathBuf>,
-    /// Cap on configuration columns per decode-once lane group (`None`
-    /// = every column of a grid row replays in one group; `1` =
-    /// sequential per-column replay). Any width is bit-identical; this
-    /// is purely a batching knob.
-    pub lanes: Option<usize>,
     /// Persistent compact-trace store. Disabled by default; the CLI
     /// roots it at `results/traces/`. Shared via `Arc` so every session
     /// an experiment builds accumulates hit/miss counters on the same
@@ -61,7 +56,6 @@ impl Default for ExperimentOptions {
             seed: 0xEC12,
             workers: None,
             cache_dir: None,
-            lanes: None,
             trace_store: Arc::new(TraceStore::disabled()),
             sources: Vec::new(),
         }
@@ -76,7 +70,6 @@ impl PartialEq for ExperimentOptions {
             && self.seed == other.seed
             && self.workers == other.workers
             && self.cache_dir == other.cache_dir
-            && self.lanes == other.lanes
             && self.trace_store.dir() == other.trace_store.dir()
             && self.trace_store.reads() == other.trace_store.reads()
             && self.sources.len() == other.sources.len()
@@ -94,7 +87,7 @@ impl ExperimentOptions {
     }
 
     /// Reads `ZBP_TRACE_LEN`, `ZBP_SEED`, `ZBP_WORKERS`,
-    /// `ZBP_CACHE_DIR`, `ZBP_LANES`, `ZBP_TRACE_STORE`,
+    /// `ZBP_CACHE_DIR`, `ZBP_TRACE_STORE`,
     /// `ZBP_FRESH_TRACES` and `ZBP_TRACES` (a comma-separated list of
     /// external trace files to ingest as the workload set) from the
     /// environment.
@@ -105,7 +98,7 @@ impl ExperimentOptions {
     /// `ZBP_TRACE_LEN=50k` must not quietly run the full-length
     /// experiment. Values go through the same validators as the
     /// [`RunFlags`]: seeds accept decimal or `0x`-prefixed hex, and
-    /// worker and lane counts must be at least 1.
+    /// worker counts must be at least 1.
     pub fn from_env() -> Result<Self, String> {
         let fresh = match env_nonempty("ZBP_FRESH_TRACES").as_deref() {
             None | Some("0") | Some("false") => false,
@@ -124,7 +117,6 @@ impl ExperimentOptions {
             seed: env_parsed("ZBP_SEED", parse_seed)?.unwrap_or(Self::default().seed),
             workers: env_parsed("ZBP_WORKERS", parse_count)?,
             cache_dir: env_nonempty("ZBP_CACHE_DIR").map(PathBuf::from),
-            lanes: env_parsed("ZBP_LANES", parse_count)?,
             trace_store: Arc::new(store),
             sources: env_nonempty("ZBP_TRACES")
                 .map_or(Ok(Vec::new()), |v| {
@@ -168,9 +160,6 @@ pub struct RunFlags {
     pub seed: Option<u64>,
     /// `--workers <N>`: parallel fan-out cap (at least 1).
     pub workers: Option<usize>,
-    /// `--lanes <N>`: config columns per decode-once lane group (at
-    /// least 1).
-    pub lanes: Option<usize>,
     /// `--cache-dir <DIR>`: cell-cache directory.
     pub cache_dir: Option<PathBuf>,
     /// `--trace-store <DIR>`: compact-trace store directory.
@@ -181,15 +170,8 @@ pub struct RunFlags {
 
 impl RunFlags {
     /// Every flag [`Self::take`] accepts.
-    pub const NAMES: [&'static str; 7] = [
-        "--len",
-        "--seed",
-        "--workers",
-        "--lanes",
-        "--cache-dir",
-        "--trace-store",
-        "--fresh-traces",
-    ];
+    pub const NAMES: [&'static str; 6] =
+        ["--len", "--seed", "--workers", "--cache-dir", "--trace-store", "--fresh-traces"];
 
     /// Parses `flag` if it is one of [`Self::NAMES`], pulling its value
     /// (if it takes one) from `value`. Returns `Ok(false)` for any other
@@ -198,8 +180,8 @@ impl RunFlags {
     /// # Errors
     ///
     /// A missing value (whatever `value` reports) or one the shared
-    /// validators reject: `--workers 0` and `--lanes 0` are errors, as
-    /// `ZBP_WORKERS=0` and `ZBP_LANES=0` are.
+    /// validators reject: `--workers 0` is an error, as `ZBP_WORKERS=0`
+    /// is.
     pub fn take(
         &mut self,
         flag: &str,
@@ -217,7 +199,6 @@ impl RunFlags {
             "--len" => self.len = parsed(flag, value, parse_len)?,
             "--seed" => self.seed = parsed(flag, value, parse_seed)?,
             "--workers" => self.workers = parsed(flag, value, parse_count)?,
-            "--lanes" => self.lanes = parsed(flag, value, parse_count)?,
             "--cache-dir" => self.cache_dir = Some(value()?.into()),
             "--trace-store" => self.trace_store = Some(value()?.into()),
             "--fresh-traces" => self.fresh_traces = true,
@@ -244,7 +225,6 @@ impl RunFlags {
         opts.len = self.len.or(opts.len);
         opts.seed = self.seed.unwrap_or(opts.seed);
         opts.workers = self.workers.or(opts.workers);
-        opts.lanes = self.lanes.or(opts.lanes);
         let cache_dir = self.cache_dir.clone().or(opts.cache_dir);
         opts.cache_dir = Some(cache_dir.unwrap_or_else(|| results_dir().join("cache")));
         if self.trace_store.is_some() || self.fresh_traces || !opts.trace_store.is_enabled() {
@@ -295,7 +275,7 @@ fn parse_len(text: &str) -> Result<u64, String> {
     text.parse().map_err(|e| format!("not a valid length: {e}"))
 }
 
-/// Parses a worker, lane or pool count: a positive integer. Zero is
+/// Parses a worker or pool count: a positive integer. Zero is
 /// rejected rather than read as "uncapped".
 pub fn parse_count(text: &str) -> Result<usize, String> {
     match text.parse::<usize>() {
@@ -778,10 +758,12 @@ pub fn tournament_wins(grid: &SessionGrid, winners: &[(String, String)]) -> Vec<
         .collect()
 }
 
-/// Replays one workload under every backend, attributing each direction
-/// misprediction to its branch site, and returns the `top` sites ranked
-/// by the first (paper) column's count (count descending, address
-/// ascending — fully deterministic).
+/// Replays one workload's compact capture under every backend in one
+/// lane group, attributing each direction misprediction to its branch
+/// site through the kernel's per-branch hook, and returns the `top`
+/// sites ranked by the first (paper) column's count (count descending,
+/// address ascending — fully deterministic). The capture is the grid
+/// row's, loaded from the trace store when one is attached.
 pub fn h2p_offenders(
     source: &WorkloadSource,
     opts: &ExperimentOptions,
@@ -789,21 +771,22 @@ pub fn h2p_offenders(
     top: usize,
 ) -> Vec<H2pRow> {
     use std::collections::HashMap;
-    use zbp_trace::Trace;
     let len = opts.len_for_source(source);
-    let per_backend: Vec<HashMap<u64, u64>> = par_map(configs, |c| {
-        let trace = source.build_with_len(opts.seed, len);
-        let mut model = zbp_uarch::core::CoreModel::new(c.uarch, c.predictor.clone());
-        let mut counts: HashMap<u64, u64> = HashMap::new();
-        for instr in trace.iter() {
-            let retired_branch = !instr.wrong_path && instr.branch.is_some();
-            let before = model.outcomes().mispredict_direction;
-            model.step(&instr);
-            if retired_branch && model.outcomes().mispredict_direction > before {
-                *counts.entry(instr.addr.raw()).or_insert(0) += 1;
-            }
+    let compact = opts
+        .trace_store
+        .load(&source.store_key(opts.seed, len), CompactParts::default())
+        .or_else(|_| CompactTrace::capture(&source.build_with_len(opts.seed, len)))
+        .expect("workload streams hold only compact-encodable instruction lengths");
+    let lanes = configs.iter().map(|c| CoreModel::new(c.uarch, c.predictor.clone())).collect();
+    let mut group = LaneGroup::new(lanes);
+    let mut per_backend: Vec<HashMap<u64, u64>> = vec![HashMap::new(); configs.len()];
+    let mut seen = vec![0u64; configs.len()];
+    group.replay_observed(&compact, |lane, branch, model| {
+        let mispredicts = model.outcomes().mispredict_direction;
+        if mispredicts > seen[lane] {
+            seen[lane] = mispredicts;
+            *per_backend[lane].entry(branch.addr.raw()).or_insert(0) += 1;
         }
-        counts
     });
     let paper = &per_backend[0];
     let mut addrs: Vec<u64> = paper.keys().copied().collect();
@@ -893,12 +876,11 @@ mod tests {
 
     #[test]
     fn run_flags_parse_and_validate() {
-        let f = flags("--len 500 --seed 0x2b --workers 2 --lanes 3 --cache-dir c --fresh-traces")
-            .unwrap();
-        assert_eq!((f.len, f.seed, f.workers, f.lanes), (Some(500), Some(0x2b), Some(2), Some(3)));
+        let f = flags("--len 500 --seed 0x2b --workers 2 --cache-dir c --fresh-traces").unwrap();
+        assert_eq!((f.len, f.seed, f.workers), (Some(500), Some(0x2b), Some(2)));
         assert_eq!(f.cache_dir.as_deref(), Some(Path::new("c")));
         assert!(f.fresh_traces);
-        for bad in ["--workers 0", "--lanes 0", "--len 12k", "--seed nope", "--workers", "--bogus"]
+        for bad in ["--workers 0", "--lanes 2", "--len 12k", "--seed nope", "--workers", "--bogus"]
         {
             assert!(flags(bad).is_err(), "{bad:?} must be rejected");
         }
@@ -913,7 +895,6 @@ mod tests {
             len: Some(10),
             seed: 1,
             workers: Some(4),
-            lanes: Some(2),
             cache_dir: Some("env-cache".into()),
             trace_store: Arc::new(TraceStore::at("env-store")),
             ..ExperimentOptions::default()
@@ -922,10 +903,9 @@ mod tests {
         let kept = RunFlags::default().apply(env.clone());
         assert_eq!(kept, env);
         // Every flag wins over its variable, the trace store included.
-        let f =
-            flags("--len 20 --seed 2 --workers 1 --lanes 1 --cache-dir c --trace-store s").unwrap();
+        let f = flags("--len 20 --seed 2 --workers 1 --cache-dir c --trace-store s").unwrap();
         let o = f.apply(env.clone());
-        assert_eq!((o.len, o.seed, o.workers, o.lanes), (Some(20), 2, Some(1), Some(1)));
+        assert_eq!((o.len, o.seed, o.workers), (Some(20), 2, Some(1)));
         assert_eq!(o.cache_dir.as_deref(), Some(Path::new("c")));
         assert_eq!(o.trace_store.dir(), Some(Path::new("s")));
         assert!(o.trace_store.reads());
@@ -965,6 +945,42 @@ mod tests {
         let json = zbp_support::json::to_string(&report);
         let back: TournamentReport = zbp_support::json::from_str(&json).unwrap();
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn h2p_table_equals_the_record_step_count() {
+        use std::collections::HashMap;
+        use zbp_trace::Trace;
+        let opts = ExperimentOptions::quick(6_000, 5);
+        let configs = SimConfig::direction_backends();
+        for profile in [WorkloadProfile::tpf_airline(), WorkloadProfile::zos_trade6()] {
+            let source = WorkloadSource::from(profile);
+            let table = h2p_offenders(&source, &opts, &configs, usize::MAX);
+            let trace = source.build_with_len(opts.seed, opts.len_for_source(&source));
+            let by_record: Vec<HashMap<u64, u64>> = configs
+                .iter()
+                .map(|c| {
+                    let mut model = CoreModel::new(c.uarch, c.predictor.clone());
+                    let mut counts = HashMap::new();
+                    for instr in trace.iter() {
+                        let before = model.outcomes().mispredict_direction;
+                        model.step(&instr);
+                        if model.outcomes().mispredict_direction > before {
+                            *counts.entry(instr.addr.raw()).or_insert(0u64) += 1;
+                        }
+                    }
+                    counts
+                })
+                .collect();
+            assert_eq!(table.len(), by_record[0].len(), "{}", source.name());
+            assert!(!table.is_empty(), "{} mispredicts somewhere", source.name());
+            for row in &table {
+                for ((name, n), counts) in row.counts.iter().zip(&by_record) {
+                    let expect = counts.get(&row.addr).copied().unwrap_or(0);
+                    assert_eq!(*n, expect, "{} {name} @ {:#x}", source.name(), row.addr);
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Samples random (workload, seed, configuration) cells and runs each
 //! one through every execution path the repo maintains — per-record
-//! replay, run-batched compact replay, the JSON cell-cache round-trip,
-//! a fresh recomputation, the persistent trace-store round-trip, and
-//! the decode-once lane-batched replay — diffing all of them against
-//! each other.
+//! reference replay, the decode-once lane kernel alone and inside a
+//! multi-lane group, the JSON cell-cache round-trip, a fresh
+//! recomputation and the persistent trace-store round-trip — diffing
+//! all of them against each other.
 //! With the `audit` feature enabled the [`zbp_predictor`] structure
 //! auditor additionally checks every internal invariant on every event
 //! of every replay; an auditor panic is caught and reported as a cell
@@ -153,9 +153,10 @@ fn run_cell(index: u64, cell_seed: u64, scratch: &Path) -> CellOutcome {
     }
 }
 
-/// The differential core of one cell: record vs compact (per-branch,
-/// via [`oracle::diff_replay`]), then the cache round-trip, then a
-/// fresh recomputation. Returns the first disagreement.
+/// The differential core of one cell: record vs the lane kernel
+/// (per-branch, via [`oracle::diff_replay`]), then the cache
+/// round-trip, then a fresh recomputation. Returns the first
+/// disagreement.
 fn check_cell(
     profile: &WorkloadProfile,
     config: &SimConfig,
@@ -165,12 +166,13 @@ fn check_cell(
 ) -> Option<String> {
     let trace = profile.build_with_len(trace_seed, len);
 
-    // Path 1 vs 2: per-record and compact replay, cross-checked after
-    // every retired branch. Under `--features audit` both replays also
-    // run the full structure auditor.
+    // Path 1 vs 2: per-record reference and lane-kernel replay (one
+    // lane, and flanked in a group), cross-checked after every retired
+    // branch. Under `--features audit` every replay also runs the full
+    // structure auditor.
     let computed = match oracle::diff_replay(&trace, config.uarch, &config.predictor) {
         Ok(r) => r,
-        Err(d) => return Some(format!("record/compact divergence: {d}")),
+        Err(d) => return Some(format!("record/lane divergence: {d}")),
     };
 
     // Path 3: the cell-cache JSON round-trip — store, reload, reparse —
@@ -223,7 +225,7 @@ fn check_cell(
         return Some("trace-store round-trip changed the streams".into());
     }
     if let Err(d) = oracle::diff_replay(&loaded, config.uarch, &config.predictor) {
-        return Some(format!("store-loaded/compact divergence: {d}"));
+        return Some(format!("store-loaded/lane divergence: {d}"));
     }
     let replayed = Simulator::run_config_compact(config, &loaded);
     if replayed.core != computed {
@@ -314,7 +316,7 @@ mod tests {
                 workload: "w".into(),
                 config: "c".into(),
                 len: 1000,
-                failure: Some("record/compact divergence: x".into()),
+                failure: Some("record/lane divergence: x".into()),
             }],
         };
         let lines = report.render_lines();

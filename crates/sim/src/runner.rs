@@ -58,8 +58,9 @@ impl Simulator {
     }
 
     /// Replays a compact branch-point capture under a borrowed
-    /// configuration via the run-batched fast path. Bit-identical to
-    /// [`Self::run_config`] on the equivalent record stream.
+    /// configuration through the lane kernel, as a one-lane group.
+    /// Bit-identical to [`Self::run_config`] on the equivalent record
+    /// stream.
     pub fn run_config_compact(config: &SimConfig, trace: &CompactTrace) -> SimResult {
         let model = CoreModel::new(config.uarch, config.predictor.clone());
         SimResult { config_name: config.name.clone(), core: model.run_compact(trace) }

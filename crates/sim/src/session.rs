@@ -54,7 +54,6 @@ pub struct SimSession {
     seed: u64,
     len: Option<u64>,
     materialize_cap: u64,
-    lanes: Option<usize>,
     store: Arc<TraceStore>,
     workloads: Vec<WorkloadSource>,
     configs: Vec<SimConfig>,
@@ -78,23 +77,16 @@ impl SimSession {
             seed: opts.seed,
             len: opts.len,
             materialize_cap: DEFAULT_MATERIALIZE_CAP,
-            lanes: opts.lanes,
             store: Arc::new(TraceStore::disabled()),
             workloads: Vec::new(),
             configs: Vec::new(),
         }
     }
 
-    /// Takes seed, length cap, lane width and trace store from
+    /// Takes seed, length cap and trace store from
     /// [`ExperimentOptions`].
     pub fn from_options(opts: &ExperimentOptions) -> Self {
-        Self {
-            seed: opts.seed,
-            len: opts.len,
-            lanes: opts.lanes,
-            store: Arc::clone(&opts.trace_store),
-            ..Self::new()
-        }
+        Self { seed: opts.seed, len: opts.len, store: Arc::clone(&opts.trace_store), ..Self::new() }
     }
 
     /// Sets the workload synthesis seed.
@@ -121,17 +113,6 @@ impl SimSession {
     #[must_use]
     pub(crate) fn materialize_cap(mut self, bytes: u64) -> Self {
         self.materialize_cap = bytes;
-        self
-    }
-
-    /// Caps how many configuration columns one decode-once lane group
-    /// replays together (`None`, the default, batches every requested
-    /// column of a row in a single group; `1` degrades to sequential
-    /// per-column replay). Purely a batching knob — any lane width
-    /// produces bit-identical results.
-    #[must_use]
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = Some(lanes);
         self
     }
 
@@ -267,9 +248,10 @@ impl SimSession {
     }
 
     /// Replays the configuration columns in `which` against one shared
-    /// compact capture through the decode-once lane kernel: the trace
-    /// is walked and decoded once per lane group instead of once per
-    /// column ([`Simulator::run_configs_compact_lanes`]).
+    /// compact capture through the decode-once lane kernel: the row's
+    /// distinct columns form one lane group, so the trace is walked and
+    /// decoded once per row instead of once per column
+    /// ([`Simulator::run_configs_compact_lanes`]).
     ///
     /// Identical columns replay once: columns whose predictor + uarch
     /// JSON is byte-equal — the same identity a [`CellKey`] hashes, so
@@ -290,15 +272,9 @@ impl SimSession {
                 })
             })
             .collect();
-        let width = self.lanes.unwrap_or(distinct.len()).max(1);
-        let mut lane_results: Vec<CoreResult> = Vec::with_capacity(distinct.len());
-        for chunk in distinct.chunks(width) {
-            let configs: Vec<&SimConfig> = chunk.iter().map(|&i| &self.configs[i]).collect();
-            lane_results.extend(
-                Simulator::run_configs_compact_lanes(&configs, compact).into_iter().map(|r| r.core),
-            );
-        }
-        lane_of.into_iter().map(|l| lane_results[l].clone()).collect()
+        let configs: Vec<&SimConfig> = distinct.iter().map(|&i| &self.configs[i]).collect();
+        let lane_results = Simulator::run_configs_compact_lanes(&configs, compact);
+        lane_of.into_iter().map(|l| lane_results[l].core.clone()).collect()
     }
 
     /// Enumerates the grid's cells row-major, each with the exact cache
@@ -708,28 +684,6 @@ mod tests {
                 let (w, n) = (&p.name, &c.name);
                 assert_eq!(shared.result(w, n).core, oracle, "({w}, {n}) shared diverged");
                 assert_eq!(walked.result(w, n).core, oracle, "({w}, {n}) walked diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn lane_width_does_not_change_results() {
-        // The lane-group width is a pure batching knob: one group per
-        // row (default), pairs, and sequential singleton groups all
-        // produce bit-identical grids.
-        let session = SimSession::new()
-            .seed(19)
-            .max_len(8_000)
-            .workloads(vec![WorkloadProfile::tpf_airline(), WorkloadProfile::zlinux_informix()])
-            .configs(SimConfig::table3());
-        let grouped = session.clone().run();
-        let pairs = session.clone().lanes(2).run();
-        let sequential = session.lanes(1).run();
-        for w in grouped.workloads() {
-            for c in grouped.configs() {
-                let g = grouped.result(w, c);
-                assert_eq!(g.core, pairs.result(w, c).core, "({w}, {c}) lanes=2 diverged");
-                assert_eq!(g.core, sequential.result(w, c).core, "({w}, {c}) lanes=1 diverged");
             }
         }
     }

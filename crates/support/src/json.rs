@@ -55,7 +55,7 @@ impl Json {
 
     /// Parses a JSON document.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         let v = p.value()?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
@@ -168,9 +168,17 @@ fn write_seq(
     out.push(close);
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a small hostile
+/// document (a run of `[`) overflow the stack; every document this
+/// workspace writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -211,11 +219,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -662,6 +685,18 @@ mod tests {
         assert!(Json::parse("tru").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parser_caps_nesting_depth() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nesting deeper than"), "{err}");
+        // Far past the cap, unterminated: a typed error, not a stack
+        // overflow.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

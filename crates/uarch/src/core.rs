@@ -15,13 +15,21 @@
 //!   configured penalties;
 //! * surprise branches resolved and guessed not-taken cost nothing;
 //! * every penalizing branch is classified per Figure 4.
+//!
+//! Time is kept in exact integer ticks of `1/(decode_width·100)` cycle,
+//! so `n` instructions cost `n` times one instruction's ticks in any
+//! grouping. That lets one kernel serve every compact replay: the
+//! [`LaneGroup`] walk decodes each non-branch run once into same-line
+//! spans and charges a span in one multiply. [`CoreModel::run`], the
+//! per-record [`CoreModel::step`] path, stays as the reference the
+//! differential oracle ([`crate::oracle`]) checks the kernel against.
 
 use crate::cache::{Access, Cache};
 use crate::classify::{BadOutcome, OutcomeCounts, SurpriseClassifier};
 use crate::config::UarchConfig;
 use crate::penalty::PenaltyAccounting;
 use zbp_predictor::{BranchPredictor, Counter, PredictorConfig, PredictorStats};
-use zbp_trace::compact::{CompactTrace, Run, GROUP_LUT};
+use zbp_trace::compact::{CompactTrace, Run, SegmentCursor, GROUP_LUT};
 use zbp_trace::{BranchKind, InstAddr, Trace, TraceInstr};
 
 /// I-cache side statistics.
@@ -192,21 +200,38 @@ pub struct CoreModel {
     classifier: SurpriseClassifier,
     outcomes: OutcomeCounts,
     penalties: PenaltyAccounting,
-    cycle: f64,
-    /// Decode cost per instruction, `1/decode_width + base_cpi_overhead`,
-    /// precomputed so the per-step path carries no float division.
-    step_cycles: f64,
+    /// Elapsed time in ticks of `1/ticks_per_cycle` cycle.
+    ticks: u64,
+    /// `decode_width · 100`: one decode slot is 100 ticks.
+    ticks_per_cycle: u64,
+    /// Ticks one retired instruction costs: a decode slot plus
+    /// `base_cpi_overhead` in ticks (205 for the zEC12).
+    step_ticks: u64,
     instructions: u64,
     cur_line: Option<u64>,
     /// Address the stream should continue at; a mismatch is an
     /// asynchronous control transfer (context switch / interrupt) that
     /// restarts the prediction search like any pipeline restart.
-    expected_addr: Option<zbp_trace::InstAddr>,
+    expected_addr: Option<InstAddr>,
 }
 
 impl CoreModel {
     /// Creates a model around a fresh predictor.
+    ///
+    /// # Panics
+    ///
+    /// When `cfg.decode_width` is zero or `cfg.base_cpi_overhead` is not
+    /// a whole number of `1/(decode_width·100)`-cycle ticks. Configs are
+    /// compiled in, so this is a programming error, never bad input.
     pub fn new(cfg: UarchConfig, predictor_cfg: PredictorConfig) -> Self {
+        assert!(cfg.decode_width > 0, "decode_width must be at least 1");
+        let ticks_per_cycle = u64::from(cfg.decode_width) * 100;
+        let overhead = cfg.base_cpi_overhead * ticks_per_cycle as f64;
+        assert!(
+            overhead >= 0.0 && (overhead - overhead.round()).abs() < 1e-6,
+            "base_cpi_overhead {} is not a whole number of 1/{ticks_per_cycle}-cycle ticks",
+            cfg.base_cpi_overhead
+        );
         let latency_window = predictor_cfg.install_delay + cfg.resolve_delay;
         Self {
             icache: Cache::new(cfg.l1i, cfg.l2_latency),
@@ -214,8 +239,9 @@ impl CoreModel {
             classifier: SurpriseClassifier::new(latency_window),
             outcomes: OutcomeCounts::default(),
             penalties: PenaltyAccounting::default(),
-            cycle: 0.0,
-            step_cycles: 1.0 / cfg.decode_width as f64 + cfg.base_cpi_overhead,
+            ticks: 0,
+            ticks_per_cycle,
+            step_ticks: 100 + overhead.round() as u64,
             instructions: 0,
             cur_line: None,
             expected_addr: None,
@@ -223,7 +249,8 @@ impl CoreModel {
         }
     }
 
-    /// Runs a whole trace and returns the result.
+    /// Runs a whole record trace through [`Self::step`] — the reference
+    /// path, and the replay of generator streams too large to capture.
     pub fn run<T: Trace>(mut self, trace: &T) -> CoreResult {
         for instr in trace.iter() {
             self.step(&instr);
@@ -231,62 +258,20 @@ impl CoreModel {
         self.finish(trace.name())
     }
 
-    /// Replays a compact branch-point trace, advancing over each
-    /// non-branch run in one batched step. Bit-identical to [`Self::run`]
-    /// over the equivalent record stream.
-    pub fn run_compact(mut self, trace: &CompactTrace) -> CoreResult {
-        let mut cursor = trace.segments();
-        while let Some(run) = cursor.next_run() {
-            let end = self.step_run(trace, &run);
-            if let Some(instr) = cursor.finish_run(end) {
-                self.step(&instr);
-            }
-        }
-        self.finish(trace.name())
+    /// Replays a compact branch-point trace: a one-lane [`LaneGroup`].
+    /// Bit-identical to [`Self::run`] over the equivalent record stream.
+    pub fn run_compact(self, trace: &CompactTrace) -> CoreResult {
+        let mut results = Self::run_compact_lanes(vec![self], trace);
+        results.pop().expect("one lane in, one result out")
     }
 
-    /// Like [`Self::run`], invoking `observe` after every retired branch
-    /// instruction. Branch points are the only stream positions both the
-    /// record and the compact replay visit one-by-one, which makes them
-    /// the alignment points of the differential oracle
-    /// ([`crate::oracle`]); the hot [`Self::run`] path stays free of the
-    /// callback.
-    pub fn run_observed<T: Trace>(
-        mut self,
-        trace: &T,
-        mut observe: impl FnMut(&CoreModel),
-    ) -> CoreResult {
-        for instr in trace.iter() {
-            let retired_branch = !instr.wrong_path && instr.branch.is_some();
-            self.step(&instr);
-            if retired_branch {
-                observe(&self);
-            }
-        }
-        self.finish(trace.name())
-    }
-
-    /// Like [`Self::run_compact`], invoking `observe` after every branch
-    /// instruction (see [`Self::run_observed`]). Non-branch terminating
-    /// points (stream discontinuities) are not observed — the record
-    /// path cannot distinguish them from run interiors.
-    pub fn run_compact_observed(
-        mut self,
-        trace: &CompactTrace,
-        mut observe: impl FnMut(&CoreModel),
-    ) -> CoreResult {
-        let mut cursor = trace.segments();
-        while let Some(run) = cursor.next_run() {
-            let end = self.step_run(trace, &run);
-            if let Some(instr) = cursor.finish_run(end) {
-                let retired_branch = !instr.wrong_path && instr.branch.is_some();
-                self.step(&instr);
-                if retired_branch {
-                    observe(&self);
-                }
-            }
-        }
-        self.finish(trace.name())
+    /// Replays one compact trace through several independent lanes with
+    /// a single decode pass (see [`LaneGroup`]). Bit-identical to
+    /// running [`Self::run_compact`] once per lane.
+    pub fn run_compact_lanes(lanes: Vec<CoreModel>, trace: &CompactTrace) -> Vec<CoreResult> {
+        let mut group = LaneGroup::new(lanes);
+        group.replay(trace);
+        group.finish(trace.name())
     }
 
     /// Replays a compact trace with windowed 1-in-N sampling: full-model
@@ -303,118 +288,62 @@ impl CoreModel {
     ///
     /// When `spec.measure` is zero or `warmup + measure` exceeds
     /// `period`.
-    pub fn run_compact_sampled(
-        mut self,
-        trace: &CompactTrace,
-        spec: SamplingSpec,
-    ) -> SampledResult {
+    pub fn run_compact_sampled(self, trace: &CompactTrace, spec: SamplingSpec) -> SampledResult {
         assert!(spec.measure > 0, "sampling: measure window must be non-empty");
         assert!(
             spec.warmup.saturating_add(spec.measure) <= spec.period,
             "sampling: warmup + measure must fit within the period"
         );
+        const WARMUP: usize = 0;
+        const MEASURE: usize = 1;
+        const SKIP: usize = 2;
+        // Phases cycle warmup → measure → skip, passing over empty ones
+        // (the measure phase never is).
+        let budget = [spec.warmup, spec.measure, spec.period - spec.warmup - spec.measure];
+        let mut retired_in = [0u64; 3];
+        let mut phase = if spec.warmup > 0 { WARMUP } else { MEASURE };
+        let mut left = budget[phase];
+        let (mut measured_cycles, mut measured_instructions, mut windows) = (0u64, 0u64, 0u64);
+        let (mut mark_cycle, mut mark_instr) = (self.cycle(), self.instructions);
 
-        #[derive(Clone, Copy, PartialEq)]
-        enum Phase {
-            Warmup,
-            Measure,
-            Skip,
-        }
-
-        let skip_len = spec.period - spec.warmup - spec.measure;
-        let mut warmup_instructions = 0u64;
-        let mut skipped_instructions = 0u64;
-        let mut measured_cycles = 0u64;
-        let mut measured_instructions = 0u64;
-        let mut windows = 0u64;
-
-        let (mut phase, mut left) = if spec.warmup > 0 {
-            (Phase::Warmup, spec.warmup)
-        } else {
-            (Phase::Measure, spec.measure)
-        };
-        let mut mark_cycle = self.cycle as u64;
-        let mut mark_instr = self.instructions;
-
+        let mut group = LaneGroup::new(vec![self]);
         let mut cursor = trace.segments();
         while let Some(run) = cursor.next_run() {
-            let retired = if phase == Phase::Skip {
-                // Fast-walk: the length sum inside run_end is the only
-                // per-run cost; the model never sees these instructions.
-                let end = trace.run_end(&run);
-                let point = cursor.finish_run(end);
-                run.count + point.map_or(0, |i| u64::from(!i.wrong_path))
-            } else {
-                let before = self.instructions;
-                let end = self.step_run(trace, &run);
-                if let Some(instr) = cursor.finish_run(end) {
-                    self.step(&instr);
-                }
-                self.instructions - before
-            };
-            match phase {
-                Phase::Warmup => warmup_instructions += retired,
-                Phase::Skip => skipped_instructions += retired,
-                Phase::Measure => {}
-            }
+            let retired = group.advance(trace, &mut cursor, &run, phase != SKIP);
+            retired_in[phase] += retired;
             if retired < left {
                 left -= retired;
                 continue;
             }
             // Phase budget consumed (possibly overshot — transitions
             // only land on run boundaries). Flush and advance.
-            match phase {
-                Phase::Warmup => {
-                    phase = Phase::Measure;
-                    left = spec.measure;
-                    mark_cycle = self.cycle as u64;
-                    mark_instr = self.instructions;
-                }
-                Phase::Measure => {
-                    measured_cycles += self.cycle as u64 - mark_cycle;
-                    measured_instructions += self.instructions - mark_instr;
-                    windows += 1;
-                    if skip_len > 0 {
-                        phase = Phase::Skip;
-                        left = skip_len;
-                    } else if spec.warmup > 0 {
-                        phase = Phase::Warmup;
-                        left = spec.warmup;
-                    } else {
-                        // measure == period: contiguous measurement.
-                        left = spec.measure;
-                        mark_cycle = self.cycle as u64;
-                        mark_instr = self.instructions;
-                    }
-                }
-                Phase::Skip => {
-                    if spec.warmup > 0 {
-                        phase = Phase::Warmup;
-                        left = spec.warmup;
-                    } else {
-                        phase = Phase::Measure;
-                        left = spec.measure;
-                        mark_cycle = self.cycle as u64;
-                        mark_instr = self.instructions;
-                    }
-                }
+            let lane = &group.lanes[0];
+            if phase == MEASURE {
+                measured_cycles += lane.cycle() - mark_cycle;
+                measured_instructions += lane.instructions - mark_instr;
+                windows += 1;
+            }
+            phase = (1..=3).map(|k| (phase + k) % 3).find(|&p| budget[p] > 0).expect("measure > 0");
+            left = budget[phase];
+            if phase == MEASURE {
+                (mark_cycle, mark_instr) = (lane.cycle(), lane.instructions);
             }
         }
         // Trace ended mid-window: flush the partial measure window.
-        if phase == Phase::Measure && self.instructions > mark_instr {
-            measured_cycles += self.cycle as u64 - mark_cycle;
-            measured_instructions += self.instructions - mark_instr;
+        let lane = &group.lanes[0];
+        if phase == MEASURE && lane.instructions > mark_instr {
+            measured_cycles += lane.cycle() - mark_cycle;
+            measured_instructions += lane.instructions - mark_instr;
             windows += 1;
         }
-
         SampledResult {
             name: trace.name().to_string(),
             spec,
             measured_instructions,
             measured_cycles,
-            warmup_instructions,
-            skipped_instructions,
-            total_instructions: self.instructions + skipped_instructions,
+            warmup_instructions: retired_in[WARMUP],
+            skipped_instructions: retired_in[SKIP],
+            total_instructions: lane.instructions + retired_in[SKIP],
             windows,
         }
     }
@@ -437,7 +366,7 @@ impl CoreModel {
     ///
     /// When a window is empty, or windows are unsorted or overlapping.
     pub fn run_compact_windows(
-        mut self,
+        self,
         trace: &CompactTrace,
         windows: &[(u64, u64)],
         warmup: u64,
@@ -450,65 +379,43 @@ impl CoreModel {
         }
 
         let mut out = Vec::with_capacity(windows.len());
-        let mut next = 0usize; // index of the window being approached
-        let mut measuring = false;
         let mut done = 0u64; // retired instructions, all phases
-        let mut mark_cycle = 0u64;
-        let mut mark_instr = 0u64;
-        let mut mark_dir = 0u64;
-        let mut mark_tgt = 0u64;
-
+        let mut mark: Option<WindowMeasure> = None; // lane totals at window entry
+        let mut group = LaneGroup::new(vec![self]);
         let mut cursor = trace.segments();
-        while next < windows.len() {
-            let (start, len) = windows[next];
-            let warm_start = start.saturating_sub(warmup);
-            if !measuring && done >= start {
+        let totals = |lane: &CoreModel, start| WindowMeasure {
+            start,
+            instructions: lane.instructions,
+            cycles: lane.cycle(),
+            dir_mispredicts: lane.outcomes.mispredict_direction,
+            target_mispredicts: lane.outcomes.mispredict_target,
+        };
+        let since = |now: WindowMeasure, then: WindowMeasure| WindowMeasure {
+            start: then.start,
+            instructions: now.instructions - then.instructions,
+            cycles: now.cycles - then.cycles,
+            dir_mispredicts: now.dir_mispredicts - then.dir_mispredicts,
+            target_mispredicts: now.target_mispredicts - then.target_mispredicts,
+        };
+        while let Some(&(start, len)) = windows.get(out.len()) {
+            if mark.is_none() && done >= start {
                 // Warmup (or fast-walk overshoot) reached the window:
                 // mark at this run boundary, before stepping further.
-                measuring = true;
-                mark_cycle = self.cycle as u64;
-                mark_instr = self.instructions;
-                mark_dir = self.outcomes.mispredict_direction;
-                mark_tgt = self.outcomes.mispredict_target;
+                mark = Some(totals(&group.lanes[0], start));
             }
             let Some(run) = cursor.next_run() else { break };
-            let retired = if !measuring && done < warm_start {
-                // Pure cursor fast-walk: the model never sees these.
-                let end = trace.run_end(&run);
-                let point = cursor.finish_run(end);
-                run.count + point.map_or(0, |i| u64::from(!i.wrong_path))
-            } else {
-                let before = self.instructions;
-                let end = self.step_run(trace, &run);
-                if let Some(instr) = cursor.finish_run(end) {
-                    self.step(&instr);
-                }
-                self.instructions - before
-            };
-            done += retired;
-            if measuring && done >= start.saturating_add(len) {
-                out.push(WindowMeasure {
-                    start,
-                    instructions: self.instructions - mark_instr,
-                    cycles: self.cycle as u64 - mark_cycle,
-                    dir_mispredicts: self.outcomes.mispredict_direction - mark_dir,
-                    target_mispredicts: self.outcomes.mispredict_target - mark_tgt,
-                });
-                measuring = false;
-                next += 1;
+            let model = mark.is_some() || done >= start.saturating_sub(warmup);
+            done += group.advance(trace, &mut cursor, &run, model);
+            if let Some(then) = mark.filter(|_| done >= start.saturating_add(len)) {
+                out.push(since(totals(&group.lanes[0], start), then));
+                mark = None;
             }
         }
         // Trace ended inside the final window: flush the partial
         // measurement (the trailing intervals of a trace are shorter
         // than the nominal interval length).
-        if measuring && self.instructions > mark_instr {
-            out.push(WindowMeasure {
-                start: windows[next].0,
-                instructions: self.instructions - mark_instr,
-                cycles: self.cycle as u64 - mark_cycle,
-                dir_mispredicts: self.outcomes.mispredict_direction - mark_dir,
-                target_mispredicts: self.outcomes.mispredict_target - mark_tgt,
-            });
+        if let Some(then) = mark.filter(|m| group.lanes[0].instructions > m.instructions) {
+            out.push(since(totals(&group.lanes[0], then.start), then));
         }
         out
     }
@@ -522,14 +429,13 @@ impl CoreModel {
             return;
         }
         self.instructions += 1;
-        self.cycle += self.step_cycles;
+        self.ticks += self.step_ticks;
 
         // Stream start and asynchronous control transfers (time-slice
         // switches, interrupts): prediction search restarts at the new
         // stream position.
-        match self.expected_addr {
-            Some(expected) if expected == instr.addr => {}
-            _ => self.predictor.restart(instr.addr, self.cycle as u64),
+        if self.expected_addr != Some(instr.addr) {
+            self.predictor.restart(instr.addr, self.cycle());
         }
         self.expected_addr = Some(instr.next_addr());
 
@@ -546,225 +452,76 @@ impl CoreModel {
         }
     }
 
-    /// Executes the non-branch run preceding one branch point: `count`
-    /// sequential instructions from `run.start`, lengths read from the
-    /// compact code stream. Returns the address one past the run (the
-    /// terminating point's own address).
+    /// Replays the non-branch run described by `spans` — its maximal
+    /// same-line address spans for this model's L1I line size, in order
+    /// — ending at `end`, the address one past the run.
     ///
-    /// Equivalence with per-instruction [`Self::step`]: the cycle/count
-    /// accumulators see the identical sequence of f64 additions; the
-    /// discontinuity check only ever fires on the first instruction
-    /// (runs are sequential by construction); and completions flush as
-    /// one [`BranchPredictor::note_completion_run`] per I-cache line
-    /// span, after that line's access and before the next line's — the
-    /// exact interleaving the per-instruction path produces.
-    fn step_run(&mut self, trace: &CompactTrace, run: &Run) -> InstAddr {
-        let mut addr = run.start;
-        if run.count == 0 {
-            return addr;
-        }
-        // The run end is the terminating branch's own address: hint its
+    /// Equivalent to [`Self::step`] on each instruction: the span
+    /// boundaries are exactly the line transitions the per-instruction
+    /// walk observes, a span's first instruction is charged before its
+    /// line access (which may stall) and the rest after it, the
+    /// discontinuity check can only fire on the run's first instruction
+    /// (runs are sequential), and completions flush as one
+    /// [`BranchPredictor::note_completion_run`] per span, after that
+    /// span's access and before the next one's.
+    fn step_spans(&mut self, spans: &[LineSpan], end: InstAddr) {
+        // The run end is the terminating point's own address: hint its
         // BTB rows into cache now so the walk below shadows the loads
         // the prediction would otherwise stall on. No model effect.
-        self.predictor.prefetch(trace.run_end(run));
-        let mut code = run.first_code;
-
-        // First instruction: stream-start / discontinuity check, then
-        // the line-transition charge, exactly as step() orders them.
-        self.instructions += 1;
-        self.cycle += self.step_cycles;
-        match self.expected_addr {
-            Some(expected) if expected == addr => {}
-            _ => self.predictor.restart(addr, self.cycle as u64),
-        }
-        let mut cur_line = self.icache.line_of(addr);
-        if self.cur_line != Some(cur_line) {
-            self.line_access(cur_line, addr);
-        }
-        let mut span_first = addr;
-        let mut span_last = addr;
-        addr = addr.add(u64::from(trace.len_at(code)));
-        code += 1;
-
-        // Remaining instructions stay register-resident: the accumulators
-        // round-trip through `self` only at line transitions (where the
-        // access path may add stall cycles).
-        let step = self.step_cycles;
-        let mut cycle = self.cycle;
-        let mut instructions = self.instructions;
-        let end = run.first_code + run.count;
-        let codes = trace.len_code_stream();
-
-        macro_rules! per_instr {
-            () => {{
-                instructions += 1;
-                cycle += step;
-                let line = self.icache.line_of(addr);
-                if line != cur_line {
-                    self.cycle = cycle;
-                    self.instructions = instructions;
-                    self.predictor.note_completion_run(span_first, span_last);
-                    self.line_access(line, addr);
-                    cycle = self.cycle;
-                    cur_line = line;
-                    span_first = addr;
-                }
-                span_last = addr;
-                addr = addr.add(u64::from(trace.len_at(code)));
-                code += 1;
-            }};
-        }
-
-        // Head: walk to a packed-byte boundary so the group loop can
-        // consume whole length-code bytes.
-        while code < end && (code & 3) != 0 {
-            per_instr!();
-        }
-        // Fast path: one [`GROUP_LUT`] lookup decodes four instructions.
-        // Addresses within a run are strictly increasing, so if the
-        // fourth instruction's line equals `cur_line` (which holds
-        // `span_last < addr`), all four land in `cur_line` and neither a
-        // flush nor per-instruction decode is needed. The cycle
-        // accumulator still sees four *serial* additions — `4.0 * step`
-        // would round differently and break bit-identity with
-        // [`Self::step`].
-        while code + 4 <= end {
-            let span = GROUP_LUT[usize::from(codes[(code >> 2) as usize])];
-            let last = addr.add(u64::from(span.last_off));
-            if self.icache.line_of(last) == cur_line {
-                cycle += step;
-                cycle += step;
-                cycle += step;
-                cycle += step;
-                instructions += 4;
-                span_last = last;
-                addr = addr.add(u64::from(span.total));
-                code += 4;
-            } else {
-                // Line transition somewhere in the group: replay all
-                // four through the exact per-instruction path (keeps
-                // `code` byte-aligned for the next group).
-                per_instr!();
-                per_instr!();
-                per_instr!();
-                per_instr!();
-            }
-        }
-        // Tail: fewer than four instructions left.
-        while code < end {
-            per_instr!();
-        }
-        self.cycle = cycle;
-        self.instructions = instructions;
-        self.predictor.note_completion_run(span_first, span_last);
-        self.expected_addr = Some(addr);
-        addr
-    }
-
-    /// Replays the non-branch run described by `spans` — the lane-group
-    /// form of [`Self::step_run`], consuming a pre-decoded span list
-    /// instead of walking the length-code stream itself. `end` is the
-    /// address one past the run (the terminating point's own address),
-    /// and `spans` must be the run's maximal same-line address spans
-    /// for *this* model's L1I line size, in order.
-    ///
-    /// Equivalence with [`Self::step_run`]: the span boundaries are
-    /// exactly the line transitions the per-instruction walk observes
-    /// (spans are a pure function of the run's addresses and the line
-    /// size), so the flush / [`BranchPredictor::note_completion_run`] /
-    /// [`Self::line_access`] interleaving is identical, and the cycle
-    /// accumulator sees the same sequence of serial f64 additions —
-    /// one per instruction, round-tripped through `self` only at span
-    /// boundaries.
-    fn step_spans(&mut self, spans: &[LineSpan], end: InstAddr) {
-        let first = spans[0];
         self.predictor.prefetch(end);
-
-        // First instruction: stream-start / discontinuity check, then
-        // the line-transition charge, exactly as step_run() orders them.
-        self.instructions += 1;
-        self.cycle += self.step_cycles;
-        match self.expected_addr {
-            Some(expected) if expected == first.first => {}
-            _ => self.predictor.restart(first.first, self.cycle as u64),
-        }
-        let line = self.icache.line_of(first.first);
-        if self.cur_line != Some(line) {
-            self.line_access(line, first.first);
-        }
-
-        let step = self.step_cycles;
-        let mut cycle = self.cycle;
-        let mut instructions = self.instructions;
-        for _ in 1..first.count {
-            cycle += step;
-        }
-        instructions += first.count - 1;
-        let mut prev = first;
-        for &span in &spans[1..] {
-            // The span's first instruction crosses into a new line:
-            // charge its step, flush, complete the previous span, take
-            // the line access (which may stall), then stay
-            // register-resident for the rest of the span.
-            instructions += 1;
-            cycle += step;
-            self.cycle = cycle;
-            self.instructions = instructions;
-            self.predictor.note_completion_run(prev.first, prev.last);
-            let line = self.icache.line_of(span.first);
-            self.line_access(line, span.first);
-            cycle = self.cycle;
-            for _ in 1..span.count {
-                cycle += step;
+        for (k, span) in spans.iter().enumerate() {
+            self.ticks += self.step_ticks;
+            if k == 0 {
+                if self.expected_addr != Some(span.first) {
+                    self.predictor.restart(span.first, self.cycle());
+                }
+            } else {
+                self.predictor.note_completion_run(spans[k - 1].first, spans[k - 1].last);
             }
-            instructions += span.count - 1;
-            prev = span;
+            let line = self.icache.line_of(span.first);
+            if self.cur_line != Some(line) {
+                self.line_access(line, span.first);
+            }
+            self.ticks += (span.count - 1) * self.step_ticks;
+            self.instructions += span.count;
         }
-        self.cycle = cycle;
-        self.instructions = instructions;
-        self.predictor.note_completion_run(prev.first, prev.last);
+        let last = spans[spans.len() - 1];
+        self.predictor.note_completion_run(last.first, last.last);
         self.expected_addr = Some(end);
-    }
-
-    /// Replays one compact trace through several independent lanes with
-    /// a single decode pass: the trace's run/point structure is walked
-    /// once, each run is decoded once per distinct L1I line size, and
-    /// every lane consumes the shared decode. Per-lane state (predictor,
-    /// I-cache, cycle accounting) is fully isolated, so the results are
-    /// bit-identical to running [`Self::run_compact`] once per lane —
-    /// see [`LaneGroup`] for the reusable-driver form.
-    pub fn run_compact_lanes(lanes: Vec<CoreModel>, trace: &CompactTrace) -> Vec<CoreResult> {
-        let mut group = LaneGroup::new(lanes);
-        group.replay(trace);
-        group.finish(trace.name())
     }
 
     /// Charges one 256 B fetch-line transition at `addr`.
     fn line_access(&mut self, line: u64, addr: InstAddr) {
         self.cur_line = Some(line);
         self.predictor.bus_mut().bump(Counter::IcacheLineAccesses);
-        let now = self.cycle as u64;
-        match self.icache.access(addr, now) {
-            Access::Hit => {}
+        let now = self.cycle();
+        let wait = match self.icache.access(addr, now) {
+            Access::Hit => return,
             Access::InFlight { ready_at } => {
                 self.predictor.bus_mut().bump(Counter::IcacheLatePrefetchHits);
                 let wait = ready_at.saturating_sub(now);
                 self.penalties.icache_late_prefetch += wait;
-                self.cycle += wait as f64;
+                wait
             }
             Access::Miss { ready_at } => {
                 self.predictor.bus_mut().bump(Counter::IcacheDemandMisses);
                 self.predictor.note_icache_miss(addr, now);
                 let wait = ready_at - now;
                 self.penalties.icache_demand += wait;
-                self.cycle += wait as f64;
+                wait
             }
-        }
+        };
+        self.stall(wait);
+    }
+
+    /// Adds `cycles` whole stall cycles.
+    fn stall(&mut self, cycles: u64) {
+        self.ticks += cycles * self.ticks_per_cycle;
     }
 
     /// Pulls the first lines of a wrong path into the L1I (fetch ran down
     /// that path until the branch resolved).
-    fn fetch_wrong_path(&mut self, from: zbp_trace::InstAddr, at: u64) {
+    fn fetch_wrong_path(&mut self, from: InstAddr, at: u64) {
         if !self.cfg.wrong_path_fetch {
             return;
         }
@@ -778,7 +535,7 @@ impl CoreModel {
 
     fn branch(&mut self, instr: &TraceInstr) {
         let b = instr.branch.expect("caller checked");
-        let decode_cycle = self.cycle as u64;
+        let decode_cycle = self.cycle();
         let pred = self.predictor.predict_branch(instr, decode_cycle);
         let resolve_cycle = decode_cycle + self.cfg.resolve_delay;
         self.outcomes.branches += 1;
@@ -815,7 +572,7 @@ impl CoreModel {
                 // decode resumes only after the full refill, giving the
                 // lookahead search its head start.
                 self.predictor.restart(instr.next_addr(), resolve_cycle);
-                self.cycle += self.cfg.mispredict_penalty as f64;
+                self.stall(self.cfg.mispredict_penalty);
             }
         } else {
             // Surprise (entry absent, or present but broadcast too late).
@@ -857,7 +614,7 @@ impl CoreModel {
                     (self.cfg.mispredict_penalty, resolve_cycle)
                 };
                 self.predictor.restart(instr.next_addr(), restart_at);
-                self.cycle += penalty as f64;
+                self.stall(penalty);
             }
         }
 
@@ -887,7 +644,7 @@ impl CoreModel {
         CoreResult {
             name: name.to_string(),
             instructions: self.instructions,
-            cycles: self.cycle as u64,
+            cycles: self.cycle(),
             outcomes: self.outcomes,
             penalties: self.penalties,
             icache,
@@ -907,9 +664,9 @@ impl CoreModel {
         &mut self.predictor
     }
 
-    /// Current cycle.
+    /// Current cycle: whole cycles elapsed.
     pub fn cycle(&self) -> u64 {
-        self.cycle as u64
+        self.ticks / self.ticks_per_cycle
     }
 
     /// Branch outcomes accumulated so far (Figure 4 taxonomy). Useful
@@ -938,12 +695,11 @@ struct LineSpan {
 /// a given line shift (`line = addr >> shift`), reusing `out`'s
 /// capacity, and returns the run's end address (the decode walks every
 /// length code anyway, so the end — what [`CompactTrace::run_end`]
-/// would recompute with a second walk — falls out for free). The walk
-/// mirrors [`CoreModel::step_run`]'s decode: a [`GROUP_LUT`] lookup
-/// advances four instructions when the group's last address stays in
-/// the current line (addresses within a run are strictly increasing,
-/// so the whole group does), per-instruction decode otherwise. The
-/// caller must not pass an empty run.
+/// would recompute with a second walk — falls out for free). A
+/// [`GROUP_LUT`] lookup advances four instructions when the group's
+/// last address stays in the current line (addresses within a run are
+/// strictly increasing, so the whole group does), per-instruction
+/// decode otherwise. The caller must not pass an empty run.
 fn decode_spans(trace: &CompactTrace, run: &Run, shift: u32, out: &mut Vec<LineSpan>) -> InstAddr {
     out.clear();
     let mut addr = run.start;
@@ -999,16 +755,16 @@ fn decode_spans(trace: &CompactTrace, run: &Run, shift: u32, out: &mut Vec<LineS
     addr
 }
 
-/// Decode-once lane-batched replay driver.
+/// The compact replay kernel: decode-once lane-batched replay.
 ///
-/// A lane group walks one [`SegmentCursor`](zbp_trace::compact::SegmentCursor)
-/// over a compact trace and feeds every decoded run to N independent
-/// [`CoreModel`] lanes: the run/point structure and the length-code
-/// stream are decoded once per run (once per *distinct* L1I line size
-/// when lanes differ in geometry), instead of once per lane as N
-/// sequential [`CoreModel::run_compact`] calls would. Each lane owns
-/// its predictor, I-cache and cycle accounting, so lane results are
-/// bit-identical to the sequential calls.
+/// A lane group walks one [`SegmentCursor`] over a compact trace and
+/// feeds every decoded run to N independent [`CoreModel`] lanes: the
+/// run/point structure and the length-code stream are decoded once per
+/// run (once per *distinct* L1I line size when lanes differ in
+/// geometry), instead of once per lane. Each lane owns its predictor,
+/// I-cache and cycle accounting, so a lane's result does not depend on
+/// the group it rides in; [`CoreModel::run_compact`] is a one-lane
+/// group.
 ///
 /// The span scratch buffers are reused across runs, keeping the replay
 /// walk allocation-free once they reach steady-state capacity.
@@ -1053,32 +809,80 @@ impl LaneGroup {
 
     /// Replays the whole trace through every lane from a single cursor
     /// walk. Callable repeatedly; each call appends the trace's stream
-    /// to every lane, exactly as chained [`CoreModel::run_compact`]
-    /// walks would.
+    /// to every lane.
     pub fn replay(&mut self, trace: &CompactTrace) {
+        self.replay_observed(trace, |_, _, _| {});
+    }
+
+    /// [`Self::replay`], calling `hook(lane, branch, model)` after each
+    /// lane retires each branch. Retired branches are the stream
+    /// positions the record path ([`CoreModel::step`]) and this kernel
+    /// both visit one by one, which makes them the differential
+    /// oracle's alignment points and the place per-branch-site counts
+    /// are taken.
+    pub fn replay_observed(
+        &mut self,
+        trace: &CompactTrace,
+        mut hook: impl FnMut(usize, &TraceInstr, &CoreModel),
+    ) {
         let mut cursor = trace.segments();
         while let Some(run) = cursor.next_run() {
-            // The span decode yields the run's end address as a
-            // by-product, so the whole group pays one length-code walk
-            // per run (per distinct shift) where each sequential
-            // `run_compact` pays two (`run_end` + the fused decode).
-            let end = if run.count == 0 || self.shifts.is_empty() {
-                trace.run_end(&run)
-            } else {
-                let mut end = run.start;
-                for (spans, &shift) in self.spans.iter_mut().zip(&self.shifts) {
-                    end = decode_spans(trace, &run, shift, spans);
-                }
-                for (lane, &si) in self.lanes.iter_mut().zip(&self.shift_of) {
-                    lane.step_spans(&self.spans[si], end);
-                }
-                end
-            };
-            if let Some(instr) = cursor.finish_run(end) {
-                for lane in &mut self.lanes {
-                    lane.step(&instr);
+            self.replay_run(trace, &mut cursor, &run, &mut hook);
+        }
+    }
+
+    /// Replays one run and its terminating point through every lane.
+    fn replay_run(
+        &mut self,
+        trace: &CompactTrace,
+        cursor: &mut SegmentCursor<'_>,
+        run: &Run,
+        hook: &mut impl FnMut(usize, &TraceInstr, &CoreModel),
+    ) {
+        // The span decode yields the run's end address as a by-product,
+        // so the group pays one length-code walk per run (per distinct
+        // shift).
+        let end = if run.count == 0 || self.shifts.is_empty() {
+            trace.run_end(run)
+        } else {
+            let mut end = run.start;
+            for (spans, &shift) in self.spans.iter_mut().zip(&self.shifts) {
+                end = decode_spans(trace, run, shift, spans);
+            }
+            for (lane, &si) in self.lanes.iter_mut().zip(&self.shift_of) {
+                lane.step_spans(&self.spans[si], end);
+            }
+            end
+        };
+        if let Some(instr) = cursor.finish_run(end) {
+            let retired_branch = !instr.wrong_path && instr.branch.is_some();
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                lane.step(&instr);
+                if retired_branch {
+                    hook(i, &instr, lane);
                 }
             }
+        }
+    }
+
+    /// Moves past one run and its point, returning the instructions it
+    /// retires: through every lane when `model`, else by a pure cursor
+    /// fast-walk (one length sum, no span decode, no model work) — the
+    /// skip phase of the sampled and windowed controllers.
+    fn advance(
+        &mut self,
+        trace: &CompactTrace,
+        cursor: &mut SegmentCursor<'_>,
+        run: &Run,
+        model: bool,
+    ) -> u64 {
+        if model {
+            let before = self.lanes[0].instructions;
+            self.replay_run(trace, cursor, run, &mut |_, _, _| {});
+            self.lanes[0].instructions - before
+        } else {
+            let point = cursor.finish_run(trace.run_end(run));
+            run.count + point.map_or(0, |i| u64::from(!i.wrong_path))
         }
     }
 
@@ -1478,6 +1282,47 @@ mod tests {
         let compact = CompactTrace::capture(&loop_trace(50)).unwrap();
         let results = CoreModel::run_compact_lanes(Vec::new(), &compact);
         assert!(results.is_empty());
+    }
+
+    #[test]
+    fn the_zec12_decode_cost_is_205_ticks_of_a_300th_cycle() {
+        let m = model();
+        assert_eq!((m.ticks_per_cycle, m.step_ticks), (300, 205));
+    }
+
+    #[test]
+    #[should_panic(expected = "not a whole number")]
+    fn an_overhead_off_the_tick_grid_is_rejected() {
+        let cfg = UarchConfig { base_cpi_overhead: 0.3333, ..UarchConfig::zec12() };
+        let _ = CoreModel::new(cfg, PredictorConfig::zec12());
+    }
+
+    #[test]
+    fn straight_line_cycles_are_exact_ticks() {
+        // 1024 four-byte instructions over 16 cold lines: the step and
+        // the stalls add up exactly, whatever the grouping.
+        let v: Vec<_> =
+            (0..1024u64).map(|i| TraceInstr::plain(InstAddr::new(0x8000 + i * 4), 4)).collect();
+        let vt = VecTrace::new("seq", v);
+        let by_record = model().run(&vt);
+        let stalls = 16 * UarchConfig::zec12().l2_latency;
+        assert_eq!(by_record.cycles, (1024 * 205 + stalls * 300) / 300);
+        assert_eq!(model().run_compact(&CompactTrace::capture(&vt).unwrap()), by_record);
+    }
+
+    #[test]
+    fn the_branch_hook_sees_every_retired_branch_in_every_lane() {
+        let compact = CompactTrace::capture(&loop_trace(300)).unwrap();
+        let mut group = LaneGroup::new(vec![model(), model()]);
+        let mut seen = [0u64; 2];
+        group.replay_observed(&compact, |lane, instr, m| {
+            assert_eq!(instr.addr, InstAddr::new(0x1008));
+            seen[lane] += 1;
+            assert_eq!(m.outcomes().branches, seen[lane]);
+        });
+        assert_eq!(seen, [300, 300]);
+        let results = group.finish("loop");
+        assert_eq!(results[0], model().run(&loop_trace(300)));
     }
 }
 

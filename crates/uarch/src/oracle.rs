@@ -1,23 +1,24 @@
 //! The differential replay oracle: per-branch cross-checking of the
-//! record and compact replay paths.
+//! record reference path against the compact replay kernel.
 //!
-//! The repo carries two replay paths — per-record [`CoreModel::run`]
-//! and run-batched [`CoreModel::run_compact`] — whose equivalence the
-//! regression suite previously asserted only at the final-artifact
-//! level. A final [`CoreResult`] comparison can miss transient
-//! divergence that happens to cancel, and when it does fire it says
-//! nothing about *where* the paths parted. This oracle replays a trace
-//! through both paths, snapshots the full observable model state after
-//! every retired branch (the alignment points both paths visit
-//! one-by-one), and reports the **first** branch at which any
-//! observable differs.
+//! The repo replays traces two ways — per-record [`CoreModel::step`]
+//! (the reference, and the fallback for streams too large to capture)
+//! and the decode-once [`LaneGroup`] kernel every compact replay runs
+//! on. A final [`CoreResult`] comparison can miss transient divergence
+//! that happens to cancel, and when it does fire it says nothing about
+//! *where* the paths parted. This oracle steps the record stream itself,
+//! snapshots the full observable model state after every retired branch
+//! (the alignment points both paths visit one-by-one), replays the
+//! captured [`CompactTrace`] through the kernel — once as a one-lane
+//! group and once flanked by other configurations in a multi-lane group
+//! — and reports the **first** branch at which any observable differs.
 //!
 //! Always compiled (no feature gate): the oracle is itself driven by
 //! the `zbp-cli fuzz` harness and by unit tests, and costs nothing
 //! unless called.
 
 use crate::config::UarchConfig;
-use crate::core::{CoreModel, CoreResult};
+use crate::core::{CoreModel, CoreResult, LaneGroup};
 use std::fmt;
 use zbp_predictor::{PredictorConfig, PredictorStats};
 use zbp_trace::compact::CompactTrace;
@@ -74,75 +75,90 @@ impl BranchSnapshot {
     }
 }
 
-/// How the two replay paths disagreed.
+/// How the record path and the lane kernel disagreed. `width` is the
+/// size of the lane group the kernel replayed in.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Divergence {
     /// Branch `index` (0-based, in retirement order) produced different
     /// observable state.
     AtBranch {
+        /// Lanes in the diverging group.
+        width: usize,
         /// 0-based retirement index of the first diverging branch.
         index: usize,
         /// State the record replay observed.
         record: Box<BranchSnapshot>,
-        /// State the compact replay observed.
-        compact: Box<BranchSnapshot>,
+        /// State the kernel lane observed.
+        lane: Box<BranchSnapshot>,
     },
     /// The paths visited a different number of branch points.
     BranchCount {
+        /// Lanes in the diverging group.
+        width: usize,
         /// Branches the record replay retired.
         record: usize,
-        /// Branches the compact replay retired.
-        compact: usize,
+        /// Branches the kernel lane retired.
+        lane: usize,
     },
     /// Every per-branch snapshot matched but the final results differ
     /// (end-of-run drain or finalization divergence).
     FinalResult {
+        /// Lanes in the diverging group.
+        width: usize,
         /// Result of the record replay.
         record: Box<CoreResult>,
-        /// Result of the compact replay.
-        compact: Box<CoreResult>,
+        /// Result of the kernel lane.
+        lane: Box<CoreResult>,
     },
 }
 
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Divergence::AtBranch { index, record, compact } => {
+            Divergence::AtBranch { width, index, record, lane } => {
                 write!(
                     f,
-                    "replay paths diverged at branch #{index}: {:?} differ \
+                    "record path and {width}-lane kernel diverged at branch #{index}: {:?} differ \
                      (record: cycle={} engine={} search={:?}; \
-                     compact: cycle={} engine={} search={:?})",
-                    record.diff_fields(compact),
+                     lane: cycle={} engine={} search={:?})",
+                    record.diff_fields(lane),
                     record.cycle,
                     record.engine_cycle,
                     record.search_addr,
-                    compact.cycle,
-                    compact.engine_cycle,
-                    compact.search_addr,
+                    lane.cycle,
+                    lane.engine_cycle,
+                    lane.search_addr,
                 )
             }
-            Divergence::BranchCount { record, compact } => {
-                write!(f, "branch-point count diverged: record saw {record}, compact {compact}")
+            Divergence::BranchCount { width, record, lane } => {
+                write!(
+                    f,
+                    "branch-point count diverged: record saw {record}, {width}-lane kernel {lane}"
+                )
             }
-            Divergence::FinalResult { record, compact } => {
+            Divergence::FinalResult { width, record, lane } => {
                 write!(
                     f,
                     "per-branch states matched but final results differ \
-                     (record: {} cycles / {} instructions; compact: {} cycles / {} instructions)",
-                    record.cycles, record.instructions, compact.cycles, compact.instructions,
+                     (record: {} cycles / {} instructions; {width}-lane kernel: \
+                     {} cycles / {} instructions)",
+                    record.cycles, record.instructions, lane.cycles, lane.instructions,
                 )
             }
         }
     }
 }
 
-/// Replays `trace` through both paths with per-branch cross-checking.
+/// Replays `trace` through the record path and the lane kernel with
+/// per-branch cross-checking.
 ///
-/// The record path runs first, collecting a snapshot after every
-/// retired branch; the compact path then replays the captured
-/// [`CompactTrace`] and every snapshot is compared in retirement order.
-/// Returns the (identical) record result on agreement, or the first
+/// The record path runs first, snapshotting after every retired branch.
+/// The captured [`CompactTrace`] then replays through a one-lane
+/// [`LaneGroup`] and through a three-lane group that flanks this
+/// configuration with others (a different predictor, and a different
+/// L1I line size, so the group decodes two span lists), and each
+/// kernel lane's snapshots are compared in retirement order. Returns
+/// the (identical) record result on agreement, or the first
 /// [`Divergence`] otherwise.
 ///
 /// # Errors
@@ -158,47 +174,77 @@ pub fn diff_replay<T: Trace>(
     ucfg: UarchConfig,
     pcfg: &PredictorConfig,
 ) -> Result<CoreResult, Divergence> {
-    let compact_trace = CompactTrace::capture(trace).expect("trace must be compact-encodable");
+    let compact = CompactTrace::capture(trace).expect("trace must be compact-encodable");
 
-    let mut record_snaps = Vec::new();
-    let record_result = CoreModel::new(ucfg, pcfg.clone())
-        .run_observed(trace, |m| record_snaps.push(BranchSnapshot::capture(m)));
+    let mut model = CoreModel::new(ucfg, pcfg.clone());
+    let mut snaps = Vec::new();
+    for instr in trace.iter() {
+        model.step(&instr);
+        if !instr.wrong_path && instr.branch.is_some() {
+            snaps.push(BranchSnapshot::capture(&model));
+        }
+    }
+    let record = model.finish(trace.name());
 
-    let mut divergence = None;
-    let mut compact_count = 0usize;
-    let compact_result =
-        CoreModel::new(ucfg, pcfg.clone()).run_compact_observed(&compact_trace, |m| {
-            let index = compact_count;
-            compact_count += 1;
-            if divergence.is_some() {
-                return;
-            }
-            let compact = BranchSnapshot::capture(m);
-            match record_snaps.get(index) {
-                Some(record) if *record != compact => {
-                    divergence = Some(Divergence::AtBranch {
-                        index,
-                        record: Box::new(record.clone()),
-                        compact: Box::new(compact),
-                    });
-                }
-                _ => {}
-            }
-        });
+    diff_lane(&compact, vec![CoreModel::new(ucfg, pcfg.clone())], 0, &snaps, &record)?;
+    let mut other_lines = ucfg;
+    other_lines.l1i.line_bytes = if ucfg.l1i.line_bytes == 64 { 128 } else { 64 };
+    let flanked = vec![
+        CoreModel::new(ucfg, PredictorConfig::no_btb2()),
+        CoreModel::new(ucfg, pcfg.clone()),
+        CoreModel::new(other_lines, PredictorConfig::large_btb1()),
+    ];
+    diff_lane(&compact, flanked, 1, &snaps, &record)?;
+    Ok(record)
+}
 
-    if let Some(d) = divergence {
+/// Replays `compact` through a group of `lanes` and diffs lane `at`
+/// against the record path's per-branch snapshots and final result.
+fn diff_lane(
+    compact: &CompactTrace,
+    lanes: Vec<CoreModel>,
+    at: usize,
+    snaps: &[BranchSnapshot],
+    record: &CoreResult,
+) -> Result<(), Divergence> {
+    let width = lanes.len();
+    let mut group = LaneGroup::new(lanes);
+    let mut count = 0usize;
+    let mut first = None;
+    group.replay_observed(compact, |lane, _, m| {
+        if lane != at {
+            return;
+        }
+        let index = count;
+        count += 1;
+        if first.is_some() {
+            return;
+        }
+        let snap = BranchSnapshot::capture(m);
+        if let Some(r) = snaps.get(index).filter(|r| **r != snap) {
+            first = Some(Divergence::AtBranch {
+                width,
+                index,
+                record: Box::new(r.clone()),
+                lane: Box::new(snap),
+            });
+        }
+    });
+    if let Some(d) = first {
         return Err(d);
     }
-    if compact_count != record_snaps.len() {
-        return Err(Divergence::BranchCount { record: record_snaps.len(), compact: compact_count });
+    if count != snaps.len() {
+        return Err(Divergence::BranchCount { width, record: snaps.len(), lane: count });
     }
-    if compact_result != record_result {
+    let result = group.finish(compact.name()).swap_remove(at);
+    if result != *record {
         return Err(Divergence::FinalResult {
-            record: Box::new(record_result),
-            compact: Box::new(compact_result),
+            width,
+            record: Box::new(record.clone()),
+            lane: Box::new(result),
         });
     }
-    Ok(record_result)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -226,9 +272,11 @@ mod tests {
     #[test]
     fn snapshot_diffs_name_the_diverged_field() {
         let trace = WorkloadProfile::tpf_airline().build_with_len(3, 5_000);
+        let compact = CompactTrace::capture(&trace).unwrap();
         let model = CoreModel::new(UarchConfig::zec12(), PredictorConfig::zec12());
+        let mut group = LaneGroup::new(vec![model]);
         let mut snap = None;
-        model.run_observed(&trace, |m| {
+        group.replay_observed(&compact, |_, _, m| {
             if snap.is_none() {
                 snap = Some(BranchSnapshot::capture(m));
             }

@@ -61,9 +61,6 @@ OPTIONS:
                                   (default: 0xEC12); for `fuzz`, the run seed
     --cells <N>                   number of fuzz cells to run (default: 100)
     --workers <N>                 cap the parallel fan-out
-    --lanes <N>                   cap config columns per decode-once lane group
-                                  (default: every column of a grid row in one
-                                  group; 1 = sequential per-column replay)
     --cache-dir <DIR>             cell-cache directory (default: results/cache)
     --resume                      read cached cells (default for `experiment run`)
     --fresh                       recompute every cell, refreshing the cache
@@ -74,8 +71,8 @@ OPTIONS:
                                   trace instead of the spec's synthetic workloads
                                   (repeatable: one workload row per file)
 
-Environment: ZBP_TRACE_LEN, ZBP_SEED, ZBP_WORKERS, ZBP_LANES,
-ZBP_CACHE_DIR, ZBP_TRACE_STORE, ZBP_FRESH_TRACES, ZBP_TRACES and
+Environment: ZBP_TRACE_LEN, ZBP_SEED, ZBP_WORKERS, ZBP_CACHE_DIR,
+ZBP_TRACE_STORE, ZBP_FRESH_TRACES, ZBP_TRACES and
 ZBP_RESULTS_DIR are read first; command-line flags override them.
 ";
 
@@ -110,7 +107,7 @@ struct Args {
     fresh: bool,
     resume: bool,
     traces: Vec<String>,
-    /// `--len/--seed/--workers/--lanes/--cache-dir/--trace-store/--fresh-traces`.
+    /// `--len/--seed/--workers/--cache-dir/--trace-store/--fresh-traces`.
     run: RunFlags,
 }
 
@@ -693,14 +690,13 @@ mod tests {
     }
 
     #[test]
-    fn lanes_flag_parses_and_rejects_zero() {
-        let a = parse_args(&argv("experiment run fig2 --lanes 4")).unwrap();
-        assert_eq!(a.run.lanes, Some(4));
-        let a = parse_args(&argv("experiment run fig2")).unwrap();
-        assert_eq!(a.run.lanes, None);
-        assert!(parse_args(&argv("experiment run fig2 --lanes 0")).is_err());
-        assert!(parse_args(&argv("experiment run fig2 --lanes nope")).is_err());
-        assert!(parse_args(&argv("experiment run fig2 --lanes")).is_err());
+    fn retired_lanes_flag_is_rejected() {
+        // Every distinct column of a grid row replays in one lane group;
+        // the width is no longer settable.
+        for line in ["experiment run fig2 --lanes 4", "experiment run fig2 --lanes 1"] {
+            let err = parse_args(&argv(line)).unwrap_err();
+            assert!(err.contains("--lanes"), "unexpected error: {err}");
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@ OPTIONS:
                                   0x-hex (requests may override per-call)
     --workers <N>                 cap the replay fan-out inside each cell worker
     --pool <N>                    cell worker threads (default: 4)
-    --lanes <N>                   cap config columns per decode-once lane group
     --cache-dir <DIR>             cell-cache directory (default: results/cache)
     --trace-store <DIR>           compact-trace store directory (default:
                                   results/traces)
@@ -46,9 +45,9 @@ ENDPOINTS:
                                   (only \"experiment\" is required); streams
                                   NDJSON progress events, then the artifact
 
-Environment: ZBP_TRACE_LEN, ZBP_SEED, ZBP_WORKERS, ZBP_LANES,
-ZBP_CACHE_DIR, ZBP_TRACE_STORE, ZBP_FRESH_TRACES and ZBP_RESULTS_DIR
-are read first; command-line flags override them.
+Environment: ZBP_TRACE_LEN, ZBP_SEED, ZBP_WORKERS, ZBP_CACHE_DIR,
+ZBP_TRACE_STORE, ZBP_FRESH_TRACES and ZBP_RESULTS_DIR are read first;
+command-line flags override them.
 ";
 
 /// Set by the signal handler; the accept loop checks it between

@@ -23,7 +23,6 @@ fn serve(dir: &PathBuf, args: &[&str], env: &[(&str, &str)]) -> Command {
         "ZBP_TRACE_LEN",
         "ZBP_SEED",
         "ZBP_WORKERS",
-        "ZBP_LANES",
         "ZBP_CACHE_DIR",
         "ZBP_RESULTS_DIR",
         "ZBP_TRACE_STORE",
@@ -66,9 +65,9 @@ fn zbp_cache_dir_roots_the_daemon_cache() {
 }
 
 #[test]
-fn zero_workers_or_lanes_are_rejected() {
+fn zero_workers_or_pool_are_rejected() {
     let dir = tmpdir("zero");
-    for flag in ["--workers", "--lanes", "--pool"] {
+    for flag in ["--workers", "--pool"] {
         let out = serve(&dir, &["--addr", "127.0.0.1:0", flag, "0"], &[])
             .output()
             .expect("zbp-serve runs");
@@ -80,5 +79,17 @@ fn zero_workers_or_lanes_are_rejected() {
         .output()
         .expect("zbp-serve runs");
     assert!(!out.status.success(), "ZBP_WORKERS=0 must exit non-zero");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn the_retired_lanes_flag_is_an_unknown_flag() {
+    let dir = tmpdir("lanes");
+    let out = serve(&dir, &["--addr", "127.0.0.1:0", "--lanes", "2"], &[])
+        .output()
+        .expect("zbp-serve runs");
+    assert!(!out.status.success(), "--lanes must exit non-zero");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--lanes"), "unexpected stderr: {err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
